@@ -1,6 +1,7 @@
 package commcheck
 
 import (
+	"reflect"
 	"testing"
 
 	"speccat/internal/analysis"
@@ -77,17 +78,16 @@ func TestCommCleanFixture(t *testing.T) {
 	dir := analysistest.FixtureDir(t, "commclean")
 	rep, diags := Run(analysistest.Load(t, dir))
 	analysistest.Check(t, dir, diags)
-	if len(rep.Classes) != 3 {
-		t.Errorf("Classes = %v, want the fixture's three", rep.Classes)
+	want := &Report{
+		Classes:      map[string]string{"inc": "incLock", "read": "readLock", "write": "writeLock"},
+		Ops:          map[string]string{"Store.Get": "read", "Store.Inc": "inc", "Store.Put": "write", "Store.Rebuild": "inc"},
+		Matrices:     []string{"comm.sw"},
+		Proofs:       2,
+		Entries:      9,
+		AcquireSites: 4,
 	}
-	if rep.Proofs != 2 || rep.Entries != 9 {
-		t.Errorf("Proofs = %d, Entries = %d, want 2 and 9", rep.Proofs, rep.Entries)
-	}
-	if len(rep.Ops) != 4 {
-		t.Errorf("Ops = %v, want the fixture's four annotated ops", rep.Ops)
-	}
-	if rep.AcquireSites != 4 {
-		t.Errorf("AcquireSites = %d, want 4", rep.AcquireSites)
+	if !reflect.DeepEqual(rep, want) {
+		t.Errorf("coverage = %+v\nwant       %+v", *rep, *want)
 	}
 }
 

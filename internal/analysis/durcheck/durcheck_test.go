@@ -1,6 +1,7 @@
 package durcheck
 
 import (
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -79,11 +80,16 @@ func TestDurCleanFixture(t *testing.T) {
 	dir := analysistest.FixtureDir(t, "durclean")
 	rep, diags := Run(analysistest.Load(t, dir))
 	analysistest.Check(t, dir, diags)
-	if len(rep.Roots) != 2 {
-		t.Errorf("roots = %v, want the fsm:handler and dur:handler pair", rep.Roots)
+	want := &Report{
+		Roots:     []string{"Node.HandleMessage", "Node.Replay"},
+		Analyzed:  6,
+		Requires:  map[string]string{"kindAbort": "decision", "kindCommit": "decision", "kindVote": "state"},
+		KindValue: map[string]string{"kindAbort": "clean.abort", "kindCommit": "clean.commit", "kindVote": "clean.vote"},
+		Writes:    map[string][]string{"Node.persist": {"state"}, "Node.persistDecision": {"state", "decision"}},
+		Volatiles: []string{"Node.cache"},
 	}
-	if len(rep.Requires) != 3 {
-		t.Errorf("requires = %v, want 3 annotated kinds", rep.Requires)
+	if !reflect.DeepEqual(rep, want) {
+		t.Errorf("coverage = %+v\nwant       %+v", *rep, *want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fsmcheck
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -72,12 +73,19 @@ func TestFSMCleanFixture(t *testing.T) {
 	dir := analysistest.FixtureDir(t, "fsmclean")
 	rep, diags := Run(analysistest.Load(t, dir))
 	analysistest.Check(t, dir, diags)
-	toy, ok := rep.Machines["toy"]
-	if !ok {
-		t.Fatal("no toy machine extracted")
+	if got := rep.MachineNames(); len(got) != 1 || got[0] != "toy" {
+		t.Fatalf("machines = %v, want exactly toy", got)
 	}
-	if len(toy.Edges) != 2 {
-		t.Errorf("toy edges = %v, want i->b and b->i", toy.Edges)
+	toy := rep.Machines["toy"]
+	got := fmt.Sprintf("states=%d kinds=%d handlers=%d edges=%v extras=%d codecs=%d",
+		len(toy.States), len(toy.Kinds), len(toy.Handlers), toy.Edges, len(toy.Extras), len(toy.Codecs))
+	if want := "states=2 kinds=2 handlers=1 edges=[server: i->b server: b->i] extras=0 codecs=1"; got != want {
+		t.Errorf("toy coverage = %s\nwant           %s", got, want)
+	}
+	for _, kd := range toy.Kinds {
+		if !kd.Produced || strings.Join(kd.ConsumedBy, ",") != "Handle" {
+			t.Errorf("kind %s: produced=%v consumed by %v, want produced and consumed by Handle", kd.Name, kd.Produced, kd.ConsumedBy)
+		}
 	}
 }
 

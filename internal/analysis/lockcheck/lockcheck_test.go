@@ -1,6 +1,7 @@
 package lockcheck
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -68,8 +69,16 @@ func TestLockCleanFixture(t *testing.T) {
 	dir := analysistest.FixtureDir(t, "lockclean")
 	rep, diags := Run(analysistest.Load(t, dir))
 	analysistest.Check(t, dir, diags)
-	if rep.AcquireSites == 0 || rep.RoutedCalls == 0 || rep.SyncThenSites == 0 {
-		t.Errorf("vacuous fixture coverage: %+v", rep)
+	want := &Report{
+		Roots:         []string{"engine.audit", "engine.commit", "engine.pair", "engine.scan", "engine.sweep", "engine.transfer"},
+		Analyzed:      8,
+		AcquireSites:  7,
+		ReleaseSites:  8,
+		RoutedCalls:   3,
+		SyncThenSites: 1,
+	}
+	if !reflect.DeepEqual(rep, want) {
+		t.Errorf("coverage = %+v\nwant       %+v", *rep, *want)
 	}
 }
 

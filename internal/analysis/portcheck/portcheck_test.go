@@ -1,6 +1,7 @@
 package portcheck
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -71,14 +72,15 @@ func TestPortCleanFixture(t *testing.T) {
 	dir := analysistest.FixtureDir(t, "portclean")
 	rep, diags := Run(analysistest.Load(t, dir))
 	analysistest.Check(t, dir, diags)
-	if len(rep.Engines) != 1 {
-		t.Errorf("Engines = %v, want exactly the fixture package", rep.Engines)
+	want := &Report{
+		Engines:  []string{"speccat/internal/analysis/portcheck/testdata/src/portclean"},
+		Confined: []string{"portclean.Node"},
+		Roots:    []string{"Node.HandleMessage"},
+		Analyzed: 4,
+		Guards:   map[string]string{"Node.mu": "mutex", "Node.stats": "mutex"},
 	}
-	if len(rep.Roots) == 0 {
-		t.Error("no analysis roots extracted; fixture coverage collapsed")
-	}
-	if rep.Guards["Node.stats"] != "mutex" {
-		t.Errorf("Guards = %v, want Node.stats guarded by mutex", rep.Guards)
+	if !reflect.DeepEqual(rep, want) {
+		t.Errorf("coverage = %+v\nwant       %+v", *rep, *want)
 	}
 }
 
