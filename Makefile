@@ -16,28 +16,29 @@ test:
 race:
 	$(GO) test -race ./...
 
-# All seven linting layers: go vet, then the Go design-rule analyzers plus
-# the fsmcheck protocol extraction, the durcheck durability-ordering
-# analysis, the portcheck runtime-boundary/state-confinement analysis,
-# the commcheck commutativity lock-mode analysis and the lockcheck
-# 2PL/lock-order analysis over the whole module, the spec linter over the
-# thesis corpus and the commutativity spec, and the generated-FSM-docs
-# staleness gate. speccatlint -only <layer> reruns any single layer in
-# isolation.
+# All seven linting layers: go vet, then speccatlint's six Go layers —
+# the design-rule analyzers, the fsmcheck protocol extraction, the
+# durcheck durability-ordering analysis, the portcheck
+# runtime-boundary/state-confinement analysis, the commcheck commutativity
+# lock-mode analysis and the lockcheck 2PL/lock-order analysis, all run by
+# default over one shared fact base of the whole module — the spec linter
+# over the thesis corpus and the commutativity spec, and the
+# generated-FSM-docs staleness gate. speccatlint -only <layer> reruns any
+# single layer in isolation.
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/speccatlint -dur -port -comm -lock ./...
+	$(GO) run ./cmd/speccatlint ./...
 	$(GO) run ./cmd/speccatlint internal/core/speclang/testdata/thesis/*.sw internal/locking/comm.sw
-	$(GO) run ./cmd/speccatlint -fsm-check docs/fsm ./internal/...
+	$(GO) run ./cmd/speccatlint -only fsm -fsm-check docs/fsm ./internal/...
 
 # Regenerate docs/fsm from the //fsm:* annotations in the sources. The
 # output is deterministic; commit it, and CI fails when it drifts.
 fsm:
-	$(GO) run ./cmd/speccatlint -fsm docs/fsm ./internal/...
+	$(GO) run ./cmd/speccatlint -only fsm -fsm docs/fsm ./internal/...
 
 # Fail (without writing) when docs/fsm is stale relative to the sources.
 fsm-check:
-	$(GO) run ./cmd/speccatlint -fsm-check docs/fsm ./internal/...
+	$(GO) run ./cmd/speccatlint -only fsm -fsm-check docs/fsm ./internal/...
 
 # Deterministic fault-exploration smoke suite: the explorer must rediscover
 # the naive-3PC atomicity violation and 2PC blocking end to end, full 3PC

@@ -11,13 +11,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"speccat/internal/analysis"
-	"speccat/internal/analysis/commcheck"
-	"speccat/internal/analysis/durcheck"
-	"speccat/internal/analysis/fsmcheck"
-	"speccat/internal/analysis/lockcheck"
+	"speccat/internal/analysis/layers"
 	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
 	"speccat/internal/core/speclint"
@@ -37,7 +35,7 @@ func main() {
 		os.Exit(2)
 	}
 	code := 0
-	if *lint && lintGoLayers(os.Stderr) > 0 {
+	if *lint && lintGoLayers(os.Stderr, "./...") > 0 {
 		code = 1
 	}
 	for _, path := range flag.Args() {
@@ -49,35 +47,31 @@ func main() {
 	os.Exit(code)
 }
 
-// lintGoLayers runs the Go design-rule analyzers, the fsmcheck protocol
-// extraction, the durcheck durability-ordering analysis, the commcheck
-// commutativity lock-mode analysis and the lockcheck 2PL / lock-order
-// analysis over the enclosing module, so -lint covers the spec layer plus
-// five Go analysis layers, and returns the finding count. Outside a Go
-// module it is a no-op.
-func lintGoLayers(stderr *os.File) int {
+// lintGoLayers runs the shared list of Go analysis layers
+// (internal/analysis/layers) over the package patterns of the enclosing
+// module — -lint passes "./...", so it covers the spec layer plus every Go
+// layer speccatlint runs — prints the findings to w and returns their
+// count. Outside a Go module it is a no-op.
+func lintGoLayers(w io.Writer, patterns ...string) int {
 	loader, err := analysis.NewLoader(".")
 	if err != nil || loader.ModulePath == "" {
 		return 0
 	}
-	pkgs, err := loader.Load([]string{"./..."})
+	pkgs, err := loader.Load(patterns)
 	if err != nil {
-		fmt.Fprintf(stderr, "speccat: go lint: %v\n", err)
+		fmt.Fprintf(w, "speccat: go lint: %v\n", err)
 		return 1
 	}
-	diags := analysis.Run(pkgs, analysis.Analyzers())
-	_, fsmDiags := fsmcheck.Run(pkgs)
-	diags = append(diags, fsmDiags...)
-	_, durDiags := durcheck.Run(pkgs)
-	diags = append(diags, durDiags...)
-	_, commDiags := commcheck.Run(pkgs)
-	diags = append(diags, commDiags...)
-	_, lockDiags := lockcheck.Run(pkgs)
-	diags = append(diags, lockDiags...)
-	for _, d := range diags {
-		fmt.Fprintln(stderr, d)
+	facts := analysis.NewFacts(pkgs)
+	n := 0
+	for _, l := range layers.Go() {
+		_, diags := l.Check(facts)
+		for _, d := range diags {
+			fmt.Fprintln(w, d)
+		}
+		n += len(diags)
 	}
-	return len(diags)
+	return n
 }
 
 func processFile(path string, lenient, skipProofs, lint bool, jobs int, printName string, quiet bool) error {

@@ -6,22 +6,22 @@
 //     over the same packages: exhaustiveness, determinism, dead
 //     states/kinds, codec totality, and cross-validation of the extracted
 //     tpc machines against internal/mc's transition relation.
-//   - dur: durability-ordering dataflow (internal/analysis/durcheck,
-//     opt-in via -dur): write-ahead discipline over the protocol handlers —
+//   - dur: durability-ordering dataflow (internal/analysis/durcheck):
+//     write-ahead discipline over the protocol handlers —
 //     //dur:requires sends dominated by the matching durable write,
 //     //dur:volatile writes dominated by some durable write.
 //   - port: runtime-boundary + state-confinement analysis
-//     (internal/analysis/portcheck, opt-in via -port): //rt:engine
+//     (internal/analysis/portcheck): //rt:engine
 //     packages speak only the rt interfaces, handler state stays confined
 //     to its event loop, and //dur:requires sends follow the in-memory
 //     transition they advertise.
-//   - comm: commutativity-derived lock modes (internal/analysis/commcheck,
-//     opt-in via -comm): the //comm:matrix compatibility table must match
+//   - comm: commutativity-derived lock modes (internal/analysis/commcheck):
+//     the //comm:matrix compatibility table must match
 //     the prover-discharged Safe theorems of its spec byte for byte, and
 //     every //comm:op site must acquire exactly its class's derived mode
 //     (comm-matrix, comm-overlock, comm-underlock, comm-extract).
 //   - lock: two-phase-locking / cross-shard lock-order dataflow
-//     (internal/analysis/lockcheck, opt-in via -lock): every handler-reachable
+//     (internal/analysis/lockcheck): every handler-reachable
 //     locking.Manager call site must grow before it shrinks, release on every
 //     return path, keep acquisitions out of SyncThen continuations and after
 //     the wal decision record, and acquire across shards in canonical
@@ -37,14 +37,13 @@
 //
 // Usage:
 //
-//	speccatlint [-list] [-werror] [-dur] [-port] [-comm] [-lock] [-only layer] [-json] [-fsm dir] [-fsm-check dir] [target ...]
+//	speccatlint [-list] [-werror] [-only layer] [-json] [-fsm dir] [-fsm-check dir] [target ...]
 //
-// By default the base, fsm and spec layers run; -dur, -port, -comm and
-// -lock opt the heavier layers in. -only base|fsm|dur|port|comm|lock|spec
-// runs exactly one layer (ignoring the opt-in flags), so CI and bisection
-// scripts can attribute findings to a layer without re-running the other
-// six. With
-// -fsm the extracted machines are rendered as markdown + DOT into dir
+// By default every layer runs; the six Go layers are the shared list of
+// internal/analysis/layers, run over one fact base built once from the
+// loaded packages. -only base|fsm|dur|port|comm|lock|spec runs exactly one
+// layer, so CI and bisection scripts can attribute findings to a layer
+// without re-running the other six. With -fsm the extracted machines are rendered as markdown + DOT into dir
 // (the generated docs/fsm/ artifacts); with -fsm-check the rendering is
 // instead compared against dir and staleness is a failure (both belong
 // to the fsm layer). With -json the findings of all layers are emitted
@@ -65,20 +64,25 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
 	"speccat/internal/analysis"
-	"speccat/internal/analysis/commcheck"
-	"speccat/internal/analysis/durcheck"
 	"speccat/internal/analysis/fsmcheck"
-	"speccat/internal/analysis/lockcheck"
-	"speccat/internal/analysis/portcheck"
+	"speccat/internal/analysis/layers"
 	"speccat/internal/core/speclint"
 )
 
-// layerNames are the selectable analysis layers, in run order.
-var layerNames = []string{"base", "fsm", "dur", "port", "comm", "lock", "spec"} //lint:allow noglobalstate immutable lookup table
+// layerNames are the selectable analysis layers, in run order: the shared
+// Go layers, then the spec linter.
+var layerNames = func() []string { //lint:allow noglobalstate immutable lookup table
+	var names []string
+	for _, l := range layers.Go() {
+		names = append(names, l.Name)
+	}
+	return append(names, "spec")
+}()
 
 // finding is the unified JSON shape of one diagnostic from any layer.
 type finding struct {
@@ -98,59 +102,26 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("speccatlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	list := fs.Bool("list", false, "list the Go analyzers and exit")
+	list := fs.Bool("list", false, "list the Go analysis layers and exit")
 	werror := fs.Bool("werror", false, "treat spec-lint warnings as errors")
-	dur := fs.Bool("dur", false, "run the durability-ordering dataflow layer (durcheck)")
-	port := fs.Bool("port", false, "run the runtime-boundary / state-confinement layer (portcheck)")
-	comm := fs.Bool("comm", false, "run the commutativity lock-mode layer (commcheck)")
-	lock := fs.Bool("lock", false, "run the two-phase-locking / lock-order layer (lockcheck)")
-	only := fs.String("only", "", "run exactly one layer: base, fsm, dur, port, comm, lock or spec")
+	only := fs.String("only", "", "run exactly one layer: "+strings.Join(layerNames, ", "))
 	jsonOut := fs.Bool("json", false, "emit findings of all layers as a JSON array")
 	fsmDir := fs.String("fsm", "", "write the extracted machine docs (markdown + DOT) into this directory")
 	fsmCheck := fs.String("fsm-check", "", "fail if the generated machine docs in this directory are stale")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *only != "" {
-		known := false
-		for _, name := range layerNames {
-			if *only == name {
-				known = true
-			}
-		}
-		if !known {
-			fmt.Fprintf(stderr, "speccatlint: unknown layer %q for -only (want %s)\n", *only, strings.Join(layerNames, ", "))
-			return 2
-		}
+	if *only != "" && !slices.Contains(layerNames, *only) {
+		fmt.Fprintf(stderr, "speccatlint: unknown layer %q for -only (want %s)\n", *only, strings.Join(layerNames, ", "))
+		return 2
 	}
-	// enabled reports whether a layer should run under the current flags:
-	// -only selects exactly one layer; otherwise base/fsm/spec always run
-	// and dur/port are opt-in.
-	enabled := func(layer string) bool {
-		if *only != "" {
-			return *only == layer
-		}
-		switch layer {
-		case "dur":
-			return *dur
-		case "port":
-			return *port
-		case "comm":
-			return *comm
-		case "lock":
-			return *lock
-		}
-		return true
-	}
+	// enabled reports whether a layer should run: every layer, unless
+	// -only selects exactly one.
+	enabled := func(layer string) bool { return *only == "" || *only == layer }
 	if *list {
-		for _, a := range analysis.Analyzers() {
-			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
+		for _, l := range layers.Go() {
+			fmt.Fprintf(stdout, "%-5s %s\n      %s\n", l.Name, l.Rules, l.Doc)
 		}
-		fmt.Fprintf(stdout, "%-14s %s\n", "fsm-*", "protocol state-machine extraction, totality and model cross-validation (fsmcheck)")
-		fmt.Fprintf(stdout, "%-14s %s\n", "dur-*", "write-ahead / durability-ordering dataflow analysis (durcheck, -dur)")
-		fmt.Fprintf(stdout, "%-14s %s\n", "rt-*", "runtime-boundary / state-confinement analysis (portcheck, -port)")
-		fmt.Fprintf(stdout, "%-14s %s\n", "comm-*", "commutativity-derived lock modes vs the discharged spec matrix (commcheck, -comm)")
-		fmt.Fprintf(stdout, "%-14s %s\n", "lock-*", "two-phase-locking / cross-shard lock-order dataflow analysis (lockcheck, -lock)")
 		return 0
 	}
 	var findings []finding
@@ -191,8 +162,13 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	wantGo := enabled("base") || enabled("fsm") || enabled("dur") || enabled("port") || enabled("comm") || enabled("lock")
-	if len(goPatterns) > 0 && wantGo {
+	var goLayers []layers.Layer
+	for _, l := range layers.Go() {
+		if enabled(l.Name) {
+			goLayers = append(goLayers, l)
+		}
+	}
+	if len(goPatterns) > 0 && len(goLayers) > 0 {
 		loader, err := analysis.NewLoader(".")
 		if err != nil {
 			fmt.Fprintf(stderr, "speccatlint: %v\n", err)
@@ -203,59 +179,23 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stderr, "speccatlint: %v\n", err)
 			return 2
 		}
-		// diags pairs each Go-layer diagnostic with its originating layer.
-		type layered struct {
-			layer string
-			diag  analysis.Diagnostic
-		}
-		var diags []layered
-		if enabled("base") {
-			for _, d := range analysis.Run(pkgs, analysis.Analyzers()) {
-				diags = append(diags, layered{"base", d})
-			}
-		}
+		facts := analysis.NewFacts(pkgs)
 		var docs map[string]string
-		if enabled("fsm") {
-			rep, fsmDiags := fsmcheck.Run(pkgs)
-			for _, d := range fsmDiags {
-				diags = append(diags, layered{"fsm", d})
+		for _, l := range goLayers {
+			rep, diags := l.Check(facts)
+			if fsmRep, ok := rep.(*fsmcheck.Report); ok {
+				docs = fsmcheck.Docs(fsmRep, loader.ModuleRoot)
 			}
-			docs = fsmcheck.Docs(rep, loader.ModuleRoot)
-		}
-		if enabled("dur") {
-			_, durDiags := durcheck.Run(pkgs)
-			for _, d := range durDiags {
-				diags = append(diags, layered{"dur", d})
+			for _, d := range diags {
+				findings = append(findings, finding{
+					File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
+					Severity: "error", Rule: d.Rule, Layer: l.Name, Message: d.Message,
+				})
+				if !*jsonOut {
+					fmt.Fprintln(stdout, d)
+				}
+				failed = true
 			}
-		}
-		if enabled("port") {
-			_, portDiags := portcheck.Run(pkgs)
-			for _, d := range portDiags {
-				diags = append(diags, layered{"port", d})
-			}
-		}
-		if enabled("comm") {
-			_, commDiags := commcheck.Run(pkgs)
-			for _, d := range commDiags {
-				diags = append(diags, layered{"comm", d})
-			}
-		}
-		if enabled("lock") {
-			_, lockDiags := lockcheck.Run(pkgs)
-			for _, d := range lockDiags {
-				diags = append(diags, layered{"lock", d})
-			}
-		}
-		for _, ld := range diags {
-			d := ld.diag
-			findings = append(findings, finding{
-				File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
-				Severity: "error", Rule: d.Rule, Layer: ld.layer, Message: d.Message,
-			})
-			if !*jsonOut {
-				fmt.Fprintln(stdout, d)
-			}
-			failed = true
 		}
 		if *fsmDir != "" && docs != nil {
 			if err := writeDocs(*fsmDir, docs); err != nil {

@@ -14,14 +14,19 @@
 // placed either at the end of the offending line or on the line
 // immediately above it. A suppression without a reason is itself a
 // finding.
+//
+// The package is also the substrate of the protocol analysis layers
+// (fsmcheck, durcheck, portcheck, commcheck, lockcheck): Facts parses
+// every layer's comment directives with one grammar, indexes the
+// function declarations, resolves the call graph once per load and holds
+// the suppression index, and Walker is the branch-sensitive statement
+// walker the dataflow layers share.
 package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"sort"
-	"strings"
+	"path/filepath"
 )
 
 // Diagnostic is one finding, positioned in the analyzed source.
@@ -34,6 +39,16 @@ type Diagnostic struct {
 // String renders the diagnostic in the conventional file:line:col form.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
+}
+
+// ShortPos renders a position of the package as "file.go:line", the form
+// findings cite a second site in.
+func (p *Package) ShortPos(pos token.Pos) string {
+	if pos == token.NoPos {
+		return "?"
+	}
+	at := p.Fset.Position(pos)
+	return fmt.Sprintf("%s:%d", filepath.Base(at.Filename), at.Line)
 }
 
 // Analyzer is one named design-rule check.
@@ -55,11 +70,15 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:     p.Pkg.Fset.Position(pos),
-		Rule:    p.Analyzer.Name,
-		Message: fmt.Sprintf(format, args...),
-	})
+	(*Findings)(p.diags).Reportf(p.Pkg.Fset.Position(pos), p.Analyzer.Name, format, args...)
+}
+
+// Findings accumulates the diagnostics of one analysis run.
+type Findings []Diagnostic
+
+// Reportf records a finding of rule at pos.
+func (f *Findings) Reportf(pos token.Position, rule, format string, args ...any) {
+	*f = append(*f, Diagnostic{Pos: pos, Rule: rule, Message: fmt.Sprintf(format, args...)})
 }
 
 // Analyzers returns the full rule set in a fixed order.
@@ -83,101 +102,33 @@ func ByName(name string) (*Analyzer, bool) {
 	return nil, false
 }
 
-// Run applies the analyzers to the packages and returns surviving
-// diagnostics (suppressions applied), sorted by position.
+// Run applies the analyzers to the packages; see Check.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	return Check(NewFacts(pkgs), analyzers)
+}
+
+// Check applies the analyzers to the fact base's packages and returns the
+// surviving diagnostics, sorted by position: findings covered by a
+// reasoned //lint:allow for their rule on the same or the preceding line
+// are dropped, and every malformed //lint:allow (missing rule or reason)
+// is itself a finding.
+func Check(f *Facts, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		var pkgDiags []Diagnostic
+	for _, pkg := range f.Pkgs {
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, diags: &pkgDiags}
-			a.Run(pass)
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags})
 		}
-		diags = append(diags, applySuppressions(pkg, pkgDiags)...)
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Rule < b.Rule
-	})
-	return diags
-}
-
-// allowDirective is one parsed //lint:allow comment.
-type allowDirective struct {
-	pos    token.Position
-	rule   string
-	reason string
-}
-
-// allowDirectives extracts the //lint:allow comments of one file.
-func allowDirectives(fset *token.FileSet, f *ast.File) []allowDirective {
-	var out []allowDirective
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if !strings.HasPrefix(text, "lint:allow") {
-				continue
-			}
-			rest := strings.TrimSpace(strings.TrimPrefix(text, "lint:allow"))
-			rule, reason, _ := strings.Cut(rest, " ")
-			out = append(out, allowDirective{
-				pos:    fset.Position(c.Pos()),
-				rule:   rule,
-				reason: strings.TrimSpace(reason),
+	diags = f.Unsuppressed(diags, "lint:allow")
+	for _, d := range f.Directives("lint") {
+		if d.Verb == "allow" && len(d.Args) < 2 {
+			diags = append(diags, Diagnostic{
+				Pos:     d.Pos,
+				Rule:    "lint-allow",
+				Message: "malformed suppression: want //lint:allow <rule> <reason>",
 			})
 		}
 	}
-	return out
-}
-
-// applySuppressions drops diagnostics covered by a //lint:allow directive
-// for the same rule on the same or preceding line, and reports malformed
-// directives (missing rule or reason).
-func applySuppressions(pkg *Package, diags []Diagnostic) []Diagnostic {
-	// file -> rule -> set of lines at which the rule is allowed.
-	allowed := map[string]map[string]map[int]bool{}
-	var out []Diagnostic
-	for _, f := range pkg.Files {
-		for _, d := range allowDirectives(pkg.Fset, f) {
-			if d.rule == "" || d.reason == "" {
-				out = append(out, Diagnostic{
-					Pos:     d.pos,
-					Rule:    "lint-allow",
-					Message: "malformed suppression: want //lint:allow <rule> <reason>",
-				})
-				continue
-			}
-			byRule := allowed[d.pos.Filename]
-			if byRule == nil {
-				byRule = map[string]map[int]bool{}
-				allowed[d.pos.Filename] = byRule
-			}
-			lines := byRule[d.rule]
-			if lines == nil {
-				lines = map[int]bool{}
-				byRule[d.rule] = lines
-			}
-			// The directive covers its own line (end-of-line comment) and
-			// the next line (comment placed above the offending line).
-			lines[d.pos.Line] = true
-			lines[d.pos.Line+1] = true
-		}
-	}
-	for _, d := range diags {
-		if lines := allowed[d.Pos.Filename][d.Rule]; lines[d.Pos.Line] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
+	SortDiagnostics(diags)
+	return diags
 }

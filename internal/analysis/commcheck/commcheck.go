@@ -43,10 +43,6 @@
 package commcheck
 
 import (
-	"fmt"
-	"go/token"
-	"sort"
-
 	"speccat/internal/analysis"
 )
 
@@ -82,46 +78,20 @@ type Report struct {
 	AcquireSites int
 }
 
-// Run analyzes the loaded packages and returns the coverage report and
-// the surviving diagnostics (with //comm:ignore suppressions applied),
-// sorted by position. Deriving the reference matrix elaborates the spec
-// with the real prover, so a clean run certifies both that the proofs
-// discharge and that the Go matrix matches them.
+// Run analyzes the loaded packages; see Check.
 func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
-	x := newExtractor(pkgs)
+	return Check(analysis.NewFacts(pkgs))
+}
+
+// Check analyzes the fact base and returns the coverage report and the
+// surviving diagnostics (with //comm:ignore suppressions applied), sorted
+// by position. Deriving the reference matrix elaborates the spec with the
+// real prover, so a clean run certifies both that the proofs discharge and
+// that the Go matrix matches them.
+func Check(facts *analysis.Facts) (*Report, []analysis.Diagnostic) {
+	x := newExtractor(facts)
 	rep := x.extract()
-	diags := x.suppress(x.diags)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
-	})
+	diags := facts.Unsuppressed(x.diags, "comm:ignore")
+	analysis.SortDiagnostics(diags)
 	return rep, diags
-}
-
-// suppress drops diagnostics covered by a reasoned //comm:ignore on the
-// same or the preceding line; reasonless ignores are themselves findings
-// (already reported during extraction).
-func (x *extractor) suppress(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
-	for _, d := range diags {
-		if lines := x.ignored[d.Pos.Filename]; lines[d.Pos.Line] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// reportf records one finding.
-func (x *extractor) reportf(pos token.Position, rule, format string, args ...any) {
-	x.diags = append(x.diags, analysis.Diagnostic{Pos: pos, Rule: rule, Message: fmt.Sprintf(format, args...)})
 }

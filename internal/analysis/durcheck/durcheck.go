@@ -51,10 +51,6 @@
 package durcheck
 
 import (
-	"go/token"
-	"sort"
-	"strings"
-
 	"speccat/internal/analysis"
 )
 
@@ -85,78 +81,19 @@ type Report struct {
 	Volatiles []string
 }
 
-// directive is one parsed //dur:<verb> annotation.
-type directive struct {
-	verb string
-	args []string
-	// rest is the raw argument text (reason-bearing verbs keep spaces).
-	rest string
-	pos  token.Position
+// Run analyzes the loaded packages; see Check.
+func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
+	return Check(analysis.NewFacts(pkgs))
 }
 
-// parseDirectives extracts the dur: directives of one comment. Like
-// fsmcheck, the comment must BEGIN with a directive, but the leading
-// directive may belong to either layer: kind constants carry
-// "//fsm:msg ... //dur:requires ..." in one trailing comment, each layer
-// reading its own segments and skipping the other's.
-func parseDirectives(text string, pos token.Position) []directive {
-	body := strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	if !strings.HasPrefix(body, "dur:") && !strings.HasPrefix(body, "fsm:") {
-		return nil
-	}
-	var out []directive
-	for _, seg := range strings.Split(body, "//") {
-		seg = strings.TrimSpace(seg)
-		rest, ok := strings.CutPrefix(seg, "dur:")
-		if !ok {
-			continue
-		}
-		verb, args, _ := strings.Cut(rest, " ")
-		args = strings.TrimSpace(args)
-		out = append(out, directive{
-			verb: verb,
-			args: strings.Fields(args),
-			rest: args,
-			pos:  pos,
-		})
-	}
-	return out
-}
-
-// Run analyzes the loaded packages and returns the coverage report and the
+// Check analyzes the fact base and returns the coverage report and the
 // surviving diagnostics (with //dur:ignore suppressions applied), sorted
 // by position. The run is purely static; see CrossValidate for the
 // dynamic confirmation of findings.
-func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
-	x := newExtractor(pkgs)
-	rep := x.extract()
-	diags := x.suppress(x.diags)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
-	})
+func Check(facts *analysis.Facts) (*Report, []analysis.Diagnostic) {
+	x := newChecker(facts)
+	rep := x.check()
+	diags := facts.Unsuppressed(x.diags, "dur:ignore")
+	analysis.SortDiagnostics(diags)
 	return rep, diags
-}
-
-// suppress drops diagnostics covered by a reasoned //dur:ignore on the
-// same or the preceding line; reasonless ignores are themselves findings
-// (already reported during extraction).
-func (x *extractor) suppress(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
-	for _, d := range diags {
-		if lines := x.ignored[d.Pos.Filename]; lines[d.Pos.Line] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }

@@ -1,12 +1,9 @@
 package durcheck
 
 import (
-	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -22,19 +19,18 @@ type flowState struct {
 	avail map[string]bool
 	// killedAt remembers, per class, the branch that lost it at a join —
 	// the position findings blame when the write exists on another path.
-	killedAt   map[string]token.Pos
-	terminated bool
+	killedAt map[string]token.Pos
 }
 
 func newFlowState() *flowState {
 	return &flowState{avail: map[string]bool{}, killedAt: map[string]token.Pos{}}
 }
 
-func (s *flowState) clone() *flowState {
+// Clone implements analysis.State.
+func (s *flowState) Clone() *flowState {
 	c := &flowState{
-		avail:      make(map[string]bool, len(s.avail)),
-		killedAt:   make(map[string]token.Pos, len(s.killedAt)),
-		terminated: s.terminated,
+		avail:    make(map[string]bool, len(s.avail)),
+		killedAt: make(map[string]token.Pos, len(s.killedAt)),
 	}
 	for k, v := range s.avail {
 		c.avail[k] = v
@@ -52,22 +48,9 @@ func (s *flowState) gen(classes ...string) {
 	}
 }
 
-// join folds branch out-states back into s: the intersection of the
-// non-terminated branches, recording which branch killed each class that
-// only some paths provide. No live branch means all paths returned.
-func (s *flowState) join(branches []*flowState, poss []token.Pos) {
-	var live []*flowState
-	var livePos []token.Pos
-	for i, b := range branches {
-		if !b.terminated {
-			live = append(live, b)
-			livePos = append(livePos, poss[i])
-		}
-	}
-	if len(live) == 0 {
-		s.terminated = true
-		return
-	}
+// Join implements analysis.State: the intersection of the live branches,
+// recording which branch killed each class that only some paths provide.
+func (s *flowState) Join(live []*flowState, livePos []token.Pos) {
 	inter := map[string]bool{}
 	for cls := range live[0].avail {
 		all := true
@@ -118,256 +101,56 @@ func (s *flowState) join(branches []*flowState, poss []token.Pos) {
 // caller before the call do not excuse ordering inside the callee (the
 // callee may also be entered from a path without them).
 type flow struct {
-	x   *extractor
+	x   *checker
 	pkg *analysis.Package
-	fi  *funcInfo
+	fn  *analysis.Func
 	// varKinds maps a local variable to every string constant assigned to
 	// it anywhere in the function; a send through the variable must satisfy
-	// the requirements of all of them.
+	// the requirements of all of them (flow-insensitively — conservative
+	// for requiring kinds).
 	varKinds map[types.Object][]types.Object
 }
 
-func newFlow(x *extractor, fi *funcInfo) *flow {
-	return &flow{x: x, pkg: fi.pkg, fi: fi, varKinds: map[types.Object][]types.Object{}}
+func newFlow(x *checker, fn *analysis.Func) *flow {
+	return &flow{x: x, pkg: fn.Pkg, fn: fn, varKinds: analysis.StringConstVars(fn)}
 }
 
 func (a *flow) run() {
-	a.collectVarKinds()
-	s := newFlowState()
-	a.block(a.fi.decl.Body.List, s)
+	w := &analysis.Walker[*flowState]{Facts: a.x.facts, Hooks: a}
+	w.Walk(a.fn.Decl.Body, newFlowState())
 }
 
-// collectVarKinds is a pre-pass: every assignment of a string constant to
-// a local variable is recorded, so a send of a variable kind is checked
-// against every constant the variable may hold (flow-insensitively —
-// conservative for requiring kinds).
-func (a *flow) collectVarKinds() {
-	record := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := unparen(lhs).(*ast.Ident)
-		if !ok {
-			return
-		}
-		lobj := a.pkg.Info.Defs[id]
-		if lobj == nil {
-			lobj = a.pkg.Info.Uses[id]
-		}
-		if lobj == nil {
-			return
-		}
-		cobj, ok := constObjOf(a.pkg, rhs).(*types.Const)
-		if !ok || cobj.Val().Kind() != constant.String {
-			return
-		}
-		a.varKinds[lobj] = append(a.varKinds[lobj], cobj)
-	}
-	ast.Inspect(a.fi.decl.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if len(v.Lhs) == len(v.Rhs) {
-				for i := range v.Lhs {
-					record(v.Lhs[i], v.Rhs[i])
-				}
-			}
-		case *ast.ValueSpec:
-			if len(v.Names) == len(v.Values) {
-				for i := range v.Names {
-					record(v.Names[i], v.Values[i])
-				}
-			}
-		}
-		return true
-	})
-}
+// Loop implements analysis.Hooks; loops carry no durability rule.
+func (a *flow) Loop(ast.Stmt, *flowState) {}
 
-func (a *flow) block(list []ast.Stmt, s *flowState) {
-	for _, st := range list {
-		a.stmt(st, s)
-	}
-}
+// Return implements analysis.Hooks; returns carry no durability rule.
+func (a *flow) Return(*ast.ReturnStmt, bool, *flowState) {}
 
-func (a *flow) stmt(st ast.Stmt, s *flowState) {
-	switch v := st.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		a.block(v.List, s)
-	case *ast.ExprStmt:
-		a.expr(v.X, s)
-	case *ast.AssignStmt:
-		for _, rhs := range v.Rhs {
-			a.expr(rhs, s)
-		}
-		for _, lhs := range v.Lhs {
-			if ie, ok := lhs.(*ast.IndexExpr); ok {
-				a.expr(ie.Index, s)
-				a.checkMutation(ie.X, ie.Pos(), s)
-			}
-		}
-	case *ast.IncDecStmt:
-		if ie, ok := v.X.(*ast.IndexExpr); ok {
-			a.expr(ie.Index, s)
-			a.checkMutation(ie.X, ie.Pos(), s)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := v.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, val := range vs.Values {
-						a.expr(val, s)
-					}
-				}
-			}
-		}
-	case *ast.IfStmt:
-		a.stmt(v.Init, s)
-		a.expr(v.Cond, s)
-		then := s.clone()
-		a.stmt(v.Body, then)
-		els := s.clone()
-		elsPos := v.Pos()
-		if v.Else != nil {
-			elsPos = v.Else.Pos()
-			a.stmt(v.Else, els)
-		}
-		s.join([]*flowState{then, els}, []token.Pos{v.Body.Pos(), elsPos})
-	case *ast.SwitchStmt:
-		a.stmt(v.Init, s)
-		a.expr(v.Tag, s)
-		a.caseBranches(v.Body, v.Pos(), s)
-	case *ast.TypeSwitchStmt:
-		a.stmt(v.Init, s)
-		a.stmt(v.Assign, s)
-		a.caseBranches(v.Body, v.Pos(), s)
-	case *ast.SelectStmt:
-		var branches []*flowState
-		var poss []token.Pos
-		for _, cl := range v.Body.List {
-			cc, ok := cl.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			b := s.clone()
-			a.stmt(cc.Comm, b)
-			a.block(cc.Body, b)
-			branches = append(branches, b)
-			poss = append(poss, cc.Pos())
-		}
-		if len(branches) > 0 {
-			s.join(branches, poss)
-		}
-	case *ast.ForStmt:
-		a.stmt(v.Init, s)
-		a.expr(v.Cond, s)
-		body := s.clone()
-		a.block(v.Body.List, body)
-		a.stmt(v.Post, body)
-		// The loop may run zero times: the out-state is the in-state;
-		// statements inside were checked against the evolving body state.
-	case *ast.RangeStmt:
-		a.expr(v.X, s)
-		body := s.clone()
-		a.block(v.Body.List, body)
-	case *ast.ReturnStmt:
-		for _, r := range v.Results {
-			a.expr(r, s)
-		}
-		s.terminated = true
-	case *ast.BranchStmt:
-		// break/continue/goto/fallthrough: conservatively treat the path as
-		// leaving the current region — its writes never reach the join.
-		s.terminated = true
-	case *ast.DeferStmt:
-		// Runs at return; its sends must stand on their own.
-		a.expr(v.Call, s.clone())
-	case *ast.GoStmt:
-		a.expr(v.Call, s.clone())
-	case *ast.SendStmt:
-		a.expr(v.Chan, s)
-		a.expr(v.Value, s)
-	case *ast.LabeledStmt:
-		a.stmt(v.Stmt, s)
-	}
-}
-
-// caseBranches joins the clauses of a switch or type switch; a missing
-// default adds an implicit pass-through branch.
-func (a *flow) caseBranches(body *ast.BlockStmt, pos token.Pos, s *flowState) {
-	var branches []*flowState
-	var poss []token.Pos
-	hasDefault := false
-	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		b := s.clone()
-		for _, e := range cc.List {
-			a.expr(e, b)
-		}
-		a.block(cc.Body, b)
-		branches = append(branches, b)
-		poss = append(poss, cc.Pos())
-	}
-	if !hasDefault {
-		branches = append(branches, s.clone())
-		poss = append(poss, pos)
-	}
-	if len(branches) > 0 {
-		s.join(branches, poss)
-	}
-}
-
-// expr walks an expression, handling calls (gens and checks) and function
-// literals (analyzed against a snapshot: a deferred closure cannot count
-// on writes that happen after its registration).
-func (a *flow) expr(e ast.Expr, s *flowState) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncLit:
-			a.block(v.Body.List, s.clone())
-			return false
-		case *ast.CallExpr:
-			a.handleCall(v, s)
-		}
-		return true
-	})
-}
-
-// handleCall classifies one call: volatile delete, externally visible
-// send (direct or via a wrapper), durable write (annotated summary,
-// one-level summary, or direct stable/wal mutation).
-func (a *flow) handleCall(c *ast.CallExpr, s *flowState) {
-	if isDeleteBuiltin(a.pkg, c.Fun) {
-		if len(c.Args) > 0 {
-			a.checkMutation(c.Args[0], c.Pos(), s)
-		}
-		return
-	}
-	obj := calleeObjOf(a.pkg, c.Fun)
+// Call implements analysis.Hooks: it classifies one call as an
+// externally visible send (direct or via a wrapper) or a durable write
+// (annotated summary, one-level summary, or direct stable/wal mutation).
+func (a *flow) Call(call *analysis.Call, s *flowState) {
+	obj, c := call.Obj, call.Expr
 	if obj == nil {
 		return
 	}
-	if idx, isSend := sendKindIndex(obj); isSend {
+	if idx, isSend := analysis.SendKindIndex(obj); isSend {
 		if idx < len(c.Args) {
 			a.checkSend(c, c.Args[idx], s)
 		}
 		return
 	}
-	if fi2 := a.x.funcs[obj]; fi2 != nil {
-		if fi2.sendWrapKindIdx >= 0 && fi2.sendWrapKindIdx < len(c.Args) {
-			a.checkSend(c, c.Args[fi2.sendWrapKindIdx], s)
+	if callee := call.Static; callee != nil {
+		sum := a.x.sums[callee]
+		if sum.sendWrapKindIdx >= 0 && sum.sendWrapKindIdx < len(c.Args) {
+			a.checkSend(c, c.Args[sum.sendWrapKindIdx], s)
 		}
 		switch {
-		case fi2.annotated:
-			s.gen(fi2.writes...)
+		case sum.annotated:
+			s.gen(sum.writes...)
 			s.gen("")
-		case fi2.reachesDurable:
-			s.gen("fn:"+fi2.name, "")
+		case sum.reachesDurable:
+			s.gen("fn:"+callee.Name, "")
 		}
 		return
 	}
@@ -380,54 +163,33 @@ func (a *flow) handleCall(c *ast.CallExpr, s *flowState) {
 	}
 }
 
-// checkMutation enforces the write-ahead rule on volatile writes.
-func (a *flow) checkMutation(target ast.Expr, pos token.Pos, s *flowState) {
-	name := a.x.volatileTarget(a.pkg, a.fi, target)
+// IndexWrite implements analysis.Hooks: it enforces the write-ahead rule
+// on volatile writes.
+func (a *flow) IndexWrite(target ast.Expr, pos token.Pos, s *flowState) {
+	name := a.x.volatileTarget(a.fn, target)
 	if name == "" || s.avail[""] {
 		return
 	}
 	if killPos, ok := s.killedAt[""]; ok {
-		a.x.reportf(a.pkg, pos, RuleVolatile,
+		a.x.diags.Reportf(a.pkg.Fset.Position(pos), RuleVolatile,
 			"write to volatile %s is not dominated by a durable write; the branch at %s skips it",
-			name, a.shortPos(killPos))
+			name, a.pkg.ShortPos(killPos))
 		return
 	}
-	a.x.reportf(a.pkg, pos, RuleVolatile,
+	a.x.diags.Reportf(a.pkg.Fset.Position(pos), RuleVolatile,
 		"write to volatile %s is not dominated by a durable write", name)
 }
 
 // checkSend enforces //dur:requires at an externally visible send.
 func (a *flow) checkSend(c *ast.CallExpr, kindExpr ast.Expr, s *flowState) {
-	ke := unparen(kindExpr)
-	var objs []types.Object
-	switch v := ke.(type) {
-	case *ast.Ident:
-		obj := a.pkg.Info.Uses[v]
-		if obj == nil {
-			break
-		}
-		if _, isParam := a.fi.paramIdx[obj]; isParam {
-			// This function is itself a send wrapper; its call sites carry
-			// the actual kind and are checked there.
-			return
-		}
-		if _, ok := obj.(*types.Const); ok {
-			objs = []types.Object{obj}
-		} else {
-			objs = a.varKinds[obj]
-		}
-	case *ast.SelectorExpr:
-		if obj, ok := a.pkg.Info.Uses[v.Sel].(*types.Const); ok {
-			objs = []types.Object{obj}
-		}
-	case *ast.BasicLit:
-		// A literal kind cannot carry a //dur:requires annotation; treat it
-		// as requirement-free rather than unresolvable.
-		return
-	}
-	if len(objs) == 0 {
+	// A wrapper's own kind parameter resolves to nothing: its call sites
+	// carry the actual kind and are checked there. A literal kind cannot
+	// carry a //dur:requires annotation, so it is requirement-free rather
+	// than unresolvable.
+	objs, resolved := analysis.KindConsts(a.fn, a.varKinds, kindExpr)
+	if !resolved {
 		if a.x.pkgRequires[a.pkg.Types] {
-			a.x.reportf(a.pkg, c.Pos(), RuleExtract,
+			a.x.diags.Reportf(a.pkg.Fset.Position(c.Pos()), RuleExtract,
 				"cannot statically resolve the message kind of this send")
 		}
 		return
@@ -442,20 +204,20 @@ func (a *flow) checkSend(c *ast.CallExpr, kindExpr ast.Expr, s *flowState) {
 		if s.avail[class] {
 			continue
 		}
-		kind := a.x.kindName[obj]
+		kind := obj.Name()
 		if unnamed := unclassifiedWrites(s); len(unnamed) > 0 {
-			a.x.reportf(a.pkg, c.Pos(), RuleSummary,
+			a.x.diags.Reportf(a.pkg.Fset.Position(c.Pos()), RuleSummary,
 				"send of %s is dominated only by unannotated durable write %s; annotate it with //dur:writes",
 				kind, unnamed[0])
 			continue
 		}
 		if killPos, ok := s.killedAt[class]; ok {
-			a.x.reportf(a.pkg, c.Pos(), RuleSend,
+			a.x.diags.Reportf(a.pkg.Fset.Position(c.Pos()), RuleSend,
 				"send of %s is not dominated by a durable %q write; the branch at %s skips it",
-				kind, class, a.shortPos(killPos))
+				kind, class, a.pkg.ShortPos(killPos))
 			continue
 		}
-		a.x.reportf(a.pkg, c.Pos(), RuleSend,
+		a.x.diags.Reportf(a.pkg.Fset.Position(c.Pos()), RuleSend,
 			"send of %s requires a durable %q write that no path provides", kind, class)
 	}
 }
@@ -471,9 +233,4 @@ func unclassifiedWrites(s *flowState) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func (a *flow) shortPos(p token.Pos) string {
-	pos := a.pkg.Fset.Position(p)
-	return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
 }

@@ -1,7 +1,6 @@
 package fsmcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -14,20 +13,16 @@ import (
 
 // extractor accumulates machines and diagnostics across packages.
 type extractor struct {
-	pkgs  []*analysis.Package
-	diags []analysis.Diagnostic
+	facts *analysis.Facts
+	diags analysis.Findings
 
 	machines map[string]*Machine
-	// ignored maps file -> lines covered by a reasoned //fsm:ignore (the
-	// directive's own line and the next).
-	ignored map[string]map[int]bool
 	// lineDirs maps file -> line -> directives starting on that line, for
 	// the call-trailing //fsm:from and //fsm:to annotations.
-	lineDirs map[string]map[int][]directive
-	// bindable tracks declaration-bound directives ("file:line") so ones
-	// that never attach to a declaration can be reported.
-	bindable map[string]directive
-	bound    map[string]bool
+	lineDirs map[string]map[int][]*analysis.Directive
+	// bindable are the well-formed declaration directives, in source order;
+	// the ones that never attach to a declaration are reported.
+	bindable []*analysis.Directive
 
 	stateByObj map[types.Object]*stateRef
 	kindByObj  map[types.Object]*kindRef
@@ -83,28 +78,17 @@ type codecHalf struct {
 	hasDefault bool
 }
 
-func newExtractor(pkgs []*analysis.Package) *extractor {
+func newExtractor(facts *analysis.Facts) *extractor {
 	return &extractor{
-		pkgs:       pkgs,
+		facts:      facts,
 		machines:   map[string]*Machine{},
-		ignored:    map[string]map[int]bool{},
-		lineDirs:   map[string]map[int][]directive{},
-		bindable:   map[string]directive{},
-		bound:      map[string]bool{},
+		lineDirs:   map[string]map[int][]*analysis.Directive{},
 		stateByObj: map[types.Object]*stateRef{},
 		kindByObj:  map[types.Object]*kindRef{},
 		emitByObj:  map[types.Object]*emitSpec{},
 		stateTypes: map[string]types.Type{},
 		rawEdges:   map[string][]Edge{},
 	}
-}
-
-func (x *extractor) reportf(pkg *analysis.Package, pos token.Pos, rule, format string, args ...any) {
-	x.diags = append(x.diags, analysis.Diagnostic{
-		Pos:     pkg.Fset.Position(pos),
-		Rule:    rule,
-		Message: fmt.Sprintf(format, args...),
-	})
 }
 
 func (x *extractor) machine(name string) *Machine {
@@ -116,23 +100,28 @@ func (x *extractor) machine(name string) *Machine {
 	return m
 }
 
-func posKey(p token.Position) string { return fmt.Sprintf("%s:%d:%d", p.Filename, p.Line, p.Column) }
-
-// extract runs all extraction passes over the loaded packages.
+// extract runs all extraction passes over the fact base: directive
+// validation, then binding to constants (first, so emit functions can
+// find their machine's state type), then to functions.
 func (x *extractor) extract() *Report {
-	for _, pkg := range x.pkgs {
-		for _, f := range pkg.Files {
-			x.scanComments(pkg, f)
+	for _, d := range x.facts.Directives("fsm") {
+		x.scanDirective(d)
+	}
+	bound := map[*analysis.Directive]bool{}
+	for _, d := range x.bindable {
+		if d.Attach == analysis.AttachValue && d.Trailing && d.Gen.Tok == token.CONST && (d.Verb == "state" || d.Verb == "msg") {
+			bound[d] = x.bindConstDirective(d)
 		}
 	}
-	for _, pkg := range x.pkgs {
-		for _, f := range pkg.Files {
-			x.scanConsts(pkg, f)
+	for _, d := range x.bindable {
+		if d.Attach == analysis.AttachFunc && d.Verb != "state" && d.Verb != "msg" {
+			bound[d] = true
+			x.bindFuncDirective(d)
 		}
 	}
-	for _, pkg := range x.pkgs {
-		for _, f := range pkg.Files {
-			x.scanFuncs(pkg, f)
+	for _, d := range x.bindable {
+		if !bound[d] {
+			x.diags.Reportf(d.Pos, RuleExtract, "//fsm:%s is not attached to a declaration (use a const line comment or a function doc comment)", d.Verb)
 		}
 	}
 	for _, w := range x.handlers {
@@ -142,127 +131,79 @@ func (x *extractor) extract() *Report {
 	x.extractCalls()
 	x.finalizeEdges()
 	x.pairCodecs()
-	x.reportUnbound()
 	return &Report{Machines: x.machines}
 }
 
-// scanComments validates every fsm directive in the file and records the
-// position-keyed ones (ignore, from/to, model-extra).
-func (x *extractor) scanComments(pkg *analysis.Package, f *ast.File) {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			pos := pkg.Fset.Position(c.Pos())
-			for _, d := range parseDirectives(c.Text, pos) {
-				x.scanDirective(pkg, c, d)
-			}
-		}
-	}
-}
-
-func (x *extractor) scanDirective(pkg *analysis.Package, c *ast.Comment, d directive) {
-	switch d.verb {
+// scanDirective validates one fsm directive and records the
+// declaration-bound and position-keyed ones (from/to, model-extra).
+func (x *extractor) scanDirective(d *analysis.Directive) {
+	switch d.Verb {
 	case "state", "msg", "handler", "emit":
-		if len(d.args) != 2 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:%s wants <machine> <%s>", d.verb, map[string]string{"state": "alias", "msg": "role", "handler": "role", "emit": "role"}[d.verb])
+		if len(d.Args) != 2 {
+			x.diags.Reportf(d.Pos, RuleExtract, "//fsm:%s wants <machine> <%s>", d.Verb, map[string]string{"state": "alias", "msg": "role", "handler": "role", "emit": "role"}[d.Verb])
 			return
 		}
-		x.bindable[posKey(d.pos)] = d
+		x.bindable = append(x.bindable, d)
 	case "encode", "decode":
-		if len(d.args) != 1 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:%s wants <machine>", d.verb)
+		if len(d.Args) != 1 {
+			x.diags.Reportf(d.Pos, RuleExtract, "//fsm:%s wants <machine>", d.Verb)
 			return
 		}
-		x.bindable[posKey(d.pos)] = d
+		x.bindable = append(x.bindable, d)
 	case "from", "to":
-		if len(d.args) != 1 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:%s wants a comma-separated alias list", d.verb)
+		if len(d.Args) != 1 {
+			x.diags.Reportf(d.Pos, RuleExtract, "//fsm:%s wants a comma-separated alias list", d.Verb)
 			return
 		}
-		byLine := x.lineDirs[d.pos.Filename]
+		byLine := x.lineDirs[d.Pos.Filename]
 		if byLine == nil {
-			byLine = map[int][]directive{}
-			x.lineDirs[d.pos.Filename] = byLine
+			byLine = map[int][]*analysis.Directive{}
+			x.lineDirs[d.Pos.Filename] = byLine
 		}
-		byLine[d.pos.Line] = append(byLine[d.pos.Line], d)
+		byLine[d.Pos.Line] = append(byLine[d.Pos.Line], d)
 	case "ignore":
-		if d.rest == "" {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:ignore needs a reason")
-			return
+		if d.Rest == "" {
+			x.diags.Reportf(d.Pos, RuleExtract, "//fsm:ignore needs a reason")
 		}
-		lines := x.ignored[d.pos.Filename]
-		if lines == nil {
-			lines = map[int]bool{}
-			x.ignored[d.pos.Filename] = lines
-		}
-		lines[d.pos.Line] = true
-		lines[d.pos.Line+1] = true
 	case "model-extra":
-		if len(d.args) < 4 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:model-extra wants <machine> <role> <from>-><to> <reason>")
+		if len(d.Args) < 4 {
+			x.diags.Reportf(d.Pos, RuleExtract, "//fsm:model-extra wants <machine> <role> <from>-><to> <reason>")
 			return
 		}
-		from, to, ok := strings.Cut(d.args[2], "->")
+		from, to, ok := strings.Cut(d.Args[2], "->")
 		if !ok || from == "" || to == "" {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:model-extra edge %q is not <from>-><to>", d.args[2])
+			x.diags.Reportf(d.Pos, RuleExtract, "//fsm:model-extra edge %q is not <from>-><to>", d.Args[2])
 			return
 		}
-		reason := strings.Join(d.args[3:], " ")
-		m := x.machine(d.args[0])
+		reason := strings.Join(d.Args[3:], " ")
+		m := x.machine(d.Args[0])
 		m.Extras = append(m.Extras, &ModelExtra{
-			Machine: d.args[0], Role: d.args[1], From: from, To: to,
-			Reason: reason, Pos: d.pos,
+			Machine: d.Args[0], Role: d.Args[1], From: from, To: to,
+			Reason: reason, Pos: d.Pos,
 		})
 	default:
-		x.reportf(pkg, c.Pos(), RuleExtract, "unknown directive //fsm:%s", d.verb)
+		x.diags.Reportf(d.Pos, RuleExtract, "unknown directive //fsm:%s", d.Verb)
 	}
 }
 
-// scanConsts binds //fsm:state and //fsm:msg trailing annotations to their
-// constant declarations.
-func (x *extractor) scanConsts(pkg *analysis.Package, f *ast.File) {
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
-			continue
-		}
-		for _, s := range gd.Specs {
-			spec, ok := s.(*ast.ValueSpec)
-			if !ok || spec.Comment == nil {
-				continue
-			}
-			for _, c := range spec.Comment.List {
-				pos := pkg.Fset.Position(c.Pos())
-				for _, d := range parseDirectives(c.Text, pos) {
-					x.bindConstDirective(pkg, spec, c, d)
-				}
-			}
-		}
-	}
-}
-
-func (x *extractor) bindConstDirective(pkg *analysis.Package, spec *ast.ValueSpec, c *ast.Comment, d directive) {
-	if d.verb != "state" && d.verb != "msg" {
-		return
-	}
-	if len(d.args) != 2 {
-		return // arity already reported by scanComments
-	}
+// bindConstDirective binds an //fsm:state or //fsm:msg line comment to
+// its constant, reporting whether it attached.
+func (x *extractor) bindConstDirective(d *analysis.Directive) bool {
+	pkg, spec := d.Pkg, d.Spec
 	if len(spec.Names) != 1 {
-		x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:%s must annotate a single-name constant", d.verb)
-		return
+		x.diags.Reportf(d.Pos, RuleExtract, "//fsm:%s must annotate a single-name constant", d.Verb)
+		return false
 	}
-	obj := pkg.Info.Defs[spec.Names[0]]
-	cnst, ok := obj.(*types.Const)
+	cnst, ok := pkg.Info.Defs[spec.Names[0]].(*types.Const)
 	if !ok {
-		x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:%s must annotate a constant", d.verb)
-		return
+		x.diags.Reportf(d.Pos, RuleExtract, "//fsm:%s must annotate a constant", d.Verb)
+		return false
 	}
-	x.bound[posKey(d.pos)] = true
-	m := x.machine(d.args[0])
+	m := x.machine(d.Args[0])
 	pos := pkg.Fset.Position(spec.Names[0].Pos())
-	switch d.verb {
+	switch d.Verb {
 	case "state":
-		sd := &StateDecl{Name: cnst.Name(), Alias: d.args[1], Pos: pos}
+		sd := &StateDecl{Name: cnst.Name(), Alias: d.Args[1], Pos: pos}
 		m.States = append(m.States, sd)
 		x.stateByObj[cnst] = &stateRef{machine: m.Name, decl: sd}
 		if _, ok := x.stateTypes[m.Name]; !ok {
@@ -270,43 +211,26 @@ func (x *extractor) bindConstDirective(pkg *analysis.Package, spec *ast.ValueSpe
 		}
 	case "msg":
 		if cnst.Val().Kind() != constant.String {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:msg must annotate a string constant")
-			return
+			x.diags.Reportf(d.Pos, RuleExtract, "//fsm:msg must annotate a string constant")
+			return true
 		}
-		kd := &KindDecl{Name: cnst.Name(), Value: constant.StringVal(cnst.Val()), Role: d.args[1], Pos: pos}
+		kd := &KindDecl{Name: cnst.Name(), Value: constant.StringVal(cnst.Val()), Role: d.Args[1], Pos: pos}
 		m.Kinds = append(m.Kinds, kd)
 		x.kindByObj[cnst] = &kindRef{machine: m.Name, decl: kd}
 	}
+	return true
 }
 
-// scanFuncs binds //fsm:handler, //fsm:emit, //fsm:encode and //fsm:decode
-// doc annotations to their functions.
-func (x *extractor) scanFuncs(pkg *analysis.Package, f *ast.File) {
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Doc == nil {
-			continue
-		}
-		for _, c := range fn.Doc.List {
-			pos := pkg.Fset.Position(c.Pos())
-			for _, d := range parseDirectives(c.Text, pos) {
-				x.bindFuncDirective(pkg, fn, c, d)
-			}
-		}
-	}
-}
-
-func (x *extractor) bindFuncDirective(pkg *analysis.Package, fn *ast.FuncDecl, c *ast.Comment, d directive) {
-	switch d.verb {
+// bindFuncDirective binds an //fsm:handler, //fsm:emit, //fsm:encode or
+// //fsm:decode doc annotation to its function.
+func (x *extractor) bindFuncDirective(d *analysis.Directive) {
+	pkg, fn := d.Pkg, d.Func
+	switch d.Verb {
 	case "handler":
-		if len(d.args) != 2 {
-			return
-		}
-		x.bound[posKey(d.pos)] = true
-		m := x.machine(d.args[0])
+		m := x.machine(d.Args[0])
 		h := &Handler{
-			Machine:  d.args[0],
-			Role:     d.args[1],
+			Machine:  d.Args[0],
+			Role:     d.Args[1],
 			FuncName: fn.Name.Name,
 			Pos:      pkg.Fset.Position(fn.Name.Pos()),
 			Terminal: fn.Type.Results == nil || len(fn.Type.Results.List) == 0,
@@ -314,32 +238,22 @@ func (x *extractor) bindFuncDirective(pkg *analysis.Package, fn *ast.FuncDecl, c
 		m.Handlers = append(m.Handlers, h)
 		x.handlers = append(x.handlers, &handlerWork{h: h, decl: fn, pkg: pkg, handled: map[*kindRef]bool{}})
 	case "emit":
-		if len(d.args) != 2 {
-			return
-		}
-		x.bound[posKey(d.pos)] = true
-		x.bindEmit(pkg, fn, c, d)
-	case "encode", "decode":
-		if len(d.args) != 1 {
-			return
-		}
-		x.bound[posKey(d.pos)] = true
-		if d.verb == "encode" {
-			x.bindEncode(pkg, fn, c, d)
-		} else {
-			x.bindDecode(pkg, fn, c, d)
-		}
+		x.bindEmit(d)
+	case "encode":
+		x.bindEncode(d)
+	case "decode":
+		x.bindDecode(d)
 	}
 }
 
 // bindEmit registers an emit function: its call sites become transitions.
 // The from and to arguments are located by type — the function must take
 // exactly two parameters of the machine's state type, in (from, to) order.
-func (x *extractor) bindEmit(pkg *analysis.Package, fn *ast.FuncDecl, c *ast.Comment, d directive) {
-	machine := d.args[0]
+func (x *extractor) bindEmit(d *analysis.Directive) {
+	pkg, fn, machine := d.Pkg, d.Func, d.Args[0]
 	stateType, ok := x.stateTypes[machine]
 	if !ok {
-		x.reportf(pkg, c.Pos(), RuleExtract, "machine %s has an //fsm:emit but no //fsm:state constants", machine)
+		x.diags.Reportf(d.Pos, RuleExtract, "machine %s has an //fsm:emit but no //fsm:state constants", machine)
 		return
 	}
 	var idx []int
@@ -358,34 +272,14 @@ func (x *extractor) bindEmit(pkg *analysis.Package, fn *ast.FuncDecl, c *ast.Com
 		}
 	}
 	if len(idx) != 2 {
-		x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:emit function %s must take exactly two %s parameters (from, to), has %d", fn.Name.Name, stateType, len(idx))
+		x.diags.Reportf(d.Pos, RuleExtract, "//fsm:emit function %s must take exactly two %s parameters (from, to), has %d", fn.Name.Name, stateType, len(idx))
 		return
 	}
 	obj := pkg.Info.Defs[fn.Name]
 	if obj == nil {
 		return
 	}
-	x.emitByObj[obj] = &emitSpec{machine: machine, role: d.args[1], fromIdx: idx[0], toIdx: idx[1]}
-}
-
-// reportUnbound flags declaration directives that never attached to a
-// declaration (e.g. an //fsm:state floating in a stray comment).
-func (x *extractor) reportUnbound() {
-	var keys []string
-	for k := range x.bindable {
-		if !x.bound[k] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		d := x.bindable[k]
-		x.diags = append(x.diags, analysis.Diagnostic{
-			Pos:     d.pos,
-			Rule:    RuleExtract,
-			Message: fmt.Sprintf("//fsm:%s is not attached to a declaration (use a const line comment or a function doc comment)", d.verb),
-		})
-	}
+	x.emitByObj[obj] = &emitSpec{machine: machine, role: d.Args[1], fromIdx: idx[0], toIdx: idx[1]}
 }
 
 // ---- handler body analysis ----
@@ -399,7 +293,7 @@ func (x *extractor) analyzeHandler(w *handlerWork) {
 		paramObj = pkg.Info.Defs[fl.List[0].Names[0]]
 	}
 	if paramObj == nil {
-		x.reportf(pkg, w.decl.Pos(), RuleExtract, "handler %s has no named message parameter", w.h.FuncName)
+		x.diags.Reportf(pkg.Fset.Position(w.decl.Pos()), RuleExtract, "handler %s has no named message parameter", w.h.FuncName)
 		return
 	}
 	if w.decl.Body == nil {
@@ -485,7 +379,7 @@ func (x *extractor) analyzeDispatchSwitch(w *handlerWork, st *ast.SwitchStmt) {
 		return
 	}
 	if defaultClause == nil {
-		x.reportf(pkg, st.Pos(), RuleSilentDrop, "terminal handler %s dispatches without a default: unknown kinds are silently dropped", w.h.FuncName)
+		x.diags.Reportf(pkg.Fset.Position(st.Pos()), RuleSilentDrop, "terminal handler %s dispatches without a default: unknown kinds are silently dropped", w.h.FuncName)
 		return
 	}
 	if inert(defaultClause.Body) {
@@ -493,7 +387,7 @@ func (x *extractor) analyzeDispatchSwitch(w *handlerWork, st *ast.SwitchStmt) {
 		if len(defaultClause.Body) > 0 {
 			pos = defaultClause.Body[0].Pos()
 		}
-		x.reportf(pkg, pos, RuleSilentDrop, "terminal handler %s drops unknown kinds without accounting in its default", w.h.FuncName)
+		x.diags.Reportf(pkg.Fset.Position(pos), RuleSilentDrop, "terminal handler %s drops unknown kinds without accounting in its default", w.h.FuncName)
 	}
 }
 
@@ -525,7 +419,7 @@ func (x *extractor) analyzeHandlerIf(w *handlerWork, st *ast.IfStmt, paramObj ty
 			// `if m.Kind != K { ...drop... }` in a terminal handler must
 			// account for the traffic it turns away.
 			if c.Op == token.NEQ && exits && w.h.Terminal && inert(st.Body.List) {
-				x.reportf(pkg, dropPos(st), RuleSilentDrop, "terminal handler %s drops non-%s kinds without accounting", w.h.FuncName, kr.decl.Name)
+				x.diags.Reportf(pkg.Fset.Position(dropPos(st)), RuleSilentDrop, "terminal handler %s drops non-%s kinds without accounting", w.h.FuncName, kr.decl.Name)
 			}
 		case *ast.UnaryExpr:
 			if c.Op != token.NOT {
@@ -540,7 +434,7 @@ func (x *extractor) analyzeHandlerIf(w *handlerWork, st *ast.IfStmt, paramObj ty
 			// by a map lookup) are ordinary protocol logic.
 			delete(okObjs, pkg.Info.Uses[id])
 			if inert(st.Body.List) {
-				x.reportf(pkg, dropPos(st), RuleSilentDrop, "handler %s drops a message with an undecodable payload without accounting", w.h.FuncName)
+				x.diags.Reportf(pkg.Fset.Position(dropPos(st)), RuleSilentDrop, "handler %s drops a message with an undecodable payload without accounting", w.h.FuncName)
 			}
 		}
 	}
@@ -549,7 +443,7 @@ func (x *extractor) analyzeHandlerIf(w *handlerWork, st *ast.IfStmt, paramObj ty
 // consume records a handler consuming a kind and flags cross-role overlap.
 func (x *extractor) consume(w *handlerWork, kr *kindRef, pos token.Pos) {
 	if kr.machine == w.h.Machine && kr.decl.Role != w.h.Role {
-		x.reportf(w.pkg, pos, RuleDeterminism, "kind %s is declared for role %q but consumed by %q handler %s", kr.decl.Name, kr.decl.Role, w.h.Role, w.h.FuncName)
+		x.diags.Reportf(w.pkg.Fset.Position(pos), RuleDeterminism, "kind %s is declared for role %q but consumed by %q handler %s", kr.decl.Name, kr.decl.Role, w.h.Role, w.h.FuncName)
 		return
 	}
 	if !w.handled[kr] {
@@ -625,7 +519,7 @@ func (x *extractor) checkExhaustive() {
 		key := w.h.Machine + "\x00" + w.h.Role
 		byRole[key] = append(byRole[key], w)
 		if n := len(byRole[key]); n > 1 {
-			x.reportf(w.pkg, w.decl.Name.Pos(), RuleDeterminism, "role %q of machine %s has %d handlers; dispatch is ambiguous", w.h.Role, w.h.Machine, n)
+			x.diags.Reportf(w.pkg.Fset.Position(w.decl.Name.Pos()), RuleDeterminism, "role %q of machine %s has %d handlers; dispatch is ambiguous", w.h.Role, w.h.Machine, n)
 		}
 	}
 	for _, name := range sortedMachineNames(x.machines) {
@@ -633,16 +527,12 @@ func (x *extractor) checkExhaustive() {
 		for _, kd := range m.Kinds {
 			ws := byRole[m.Name+"\x00"+kd.Role]
 			if len(ws) == 0 {
-				x.diags = append(x.diags, analysis.Diagnostic{
-					Pos:     kd.Pos,
-					Rule:    RuleExhaustive,
-					Message: fmt.Sprintf("kind %s: no //fsm:handler for role %q of machine %s consumes it", kd.Name, kd.Role, m.Name),
-				})
+				x.diags.Reportf(kd.Pos, RuleExhaustive, "kind %s: no //fsm:handler for role %q of machine %s consumes it", kd.Name, kd.Role, m.Name)
 				continue
 			}
 			if len(kd.ConsumedBy) == 0 {
 				w := ws[0]
-				x.reportf(w.pkg, w.decl.Name.Pos(), RuleExhaustive, "handler %s does not handle declared kind %s (machine %s, role %q)", w.h.FuncName, kd.Name, m.Name, kd.Role)
+				x.diags.Reportf(w.pkg.Fset.Position(w.decl.Name.Pos()), RuleExhaustive, "handler %s does not handle declared kind %s (machine %s, role %q)", w.h.FuncName, kd.Name, m.Name, kd.Role)
 			}
 		}
 	}
@@ -659,31 +549,18 @@ func sortedMachineNames(ms map[string]*Machine) []string {
 
 // ---- emit call extraction and kind production ----
 
-// extractCalls walks every function body, marking produced kinds and
-// turning emit call sites into transitions.
+// extractCalls walks every call site, marking produced kinds and turning
+// emit call sites into transitions.
 func (x *extractor) extractCalls() {
-	for _, pkg := range x.pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
+	for _, fn := range x.facts.Funcs {
+		for _, c := range fn.Calls {
+			for _, a := range c.Expr.Args {
+				if kr := x.kindOf(fn.Pkg, a); kr != nil {
+					kr.decl.Produced = true
 				}
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					for _, a := range call.Args {
-						if kr := x.kindOf(pkg, a); kr != nil {
-							kr.decl.Produced = true
-						}
-					}
-					if spec := x.emitSpecOf(pkg, call.Fun); spec != nil {
-						x.extractEdges(pkg, fn, call, spec)
-					}
-					return true
-				})
+			}
+			if spec := x.emitByObj[c.Obj]; spec != nil && c.Obj != nil {
+				x.extractEdges(fn.Pkg, fn.Decl, c.Expr, spec)
 			}
 		}
 	}
@@ -691,7 +568,7 @@ func (x *extractor) extractCalls() {
 
 // kindOf resolves an expression to an annotated kind constant.
 func (x *extractor) kindOf(pkg *analysis.Package, e ast.Expr) *kindRef {
-	if obj := constObjOf(pkg, e); obj != nil {
+	if obj := analysis.ObjectOf(pkg, e); obj != nil {
 		return x.kindByObj[obj]
 	}
 	return nil
@@ -699,36 +576,10 @@ func (x *extractor) kindOf(pkg *analysis.Package, e ast.Expr) *kindRef {
 
 // stateOf resolves an expression to an annotated state constant.
 func (x *extractor) stateOf(pkg *analysis.Package, e ast.Expr) *stateRef {
-	if obj := constObjOf(pkg, e); obj != nil {
+	if obj := analysis.ObjectOf(pkg, e); obj != nil {
 		return x.stateByObj[obj]
 	}
 	return nil
-}
-
-func constObjOf(pkg *analysis.Package, e ast.Expr) types.Object {
-	switch v := e.(type) {
-	case *ast.Ident:
-		return pkg.Info.Uses[v]
-	case *ast.SelectorExpr:
-		return pkg.Info.Uses[v.Sel]
-	case *ast.ParenExpr:
-		return constObjOf(pkg, v.X)
-	}
-	return nil
-}
-
-func (x *extractor) emitSpecOf(pkg *analysis.Package, fun ast.Expr) *emitSpec {
-	var obj types.Object
-	switch v := fun.(type) {
-	case *ast.Ident:
-		obj = pkg.Info.Uses[v]
-	case *ast.SelectorExpr:
-		obj = pkg.Info.Uses[v.Sel]
-	}
-	if obj == nil {
-		return nil
-	}
-	return x.emitByObj[obj]
 }
 
 // extractEdges resolves the from and to argument of one emit call into
@@ -769,14 +620,14 @@ func (x *extractor) resolveStates(pkg *analysis.Package, fn *ast.FuncDecl, call 
 	}
 	callPos := pkg.Fset.Position(call.Pos())
 	for _, d := range x.lineDirs[callPos.Filename][callPos.Line] {
-		if d.verb != which {
+		if d.Verb != which {
 			continue
 		}
 		var aliases []string
-		for _, a := range strings.Split(d.args[0], ",") {
+		for _, a := range strings.Split(d.Args[0], ",") {
 			a = strings.TrimSpace(a)
 			if m.stateByAlias(a) == nil {
-				x.reportf(pkg, call.Pos(), RuleExtract, "//fsm:%s names unknown state %q of machine %s", which, a, m.Name)
+				x.diags.Reportf(pkg.Fset.Position(call.Pos()), RuleExtract, "//fsm:%s names unknown state %q of machine %s", which, a, m.Name)
 				return nil, ""
 			}
 			aliases = append(aliases, a)
@@ -786,7 +637,7 @@ func (x *extractor) resolveStates(pkg *analysis.Package, fn *ast.FuncDecl, call 
 	if aliases := x.inferGuard(pkg, fn, call, arg, m); aliases != nil {
 		return aliases, "guard"
 	}
-	x.reportf(pkg, call.Pos(), RuleExtract, "cannot determine the %s-states of this %s transition; annotate the call with //fsm:%s <aliases>", which, m.Name, which)
+	x.diags.Reportf(pkg.Fset.Position(call.Pos()), RuleExtract, "cannot determine the %s-states of this %s transition; annotate the call with //fsm:%s <aliases>", which, m.Name, which)
 	return nil, ""
 }
 

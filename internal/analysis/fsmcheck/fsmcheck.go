@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"strings"
 
 	"speccat/internal/analysis"
 )
@@ -174,80 +173,23 @@ type Codec struct {
 	Decodes map[string]string
 }
 
-// directive is one parsed //fsm:<verb> annotation.
-type directive struct {
-	verb string
-	args []string
-	// rest is the raw argument text (reason-bearing verbs keep spaces).
-	rest string
-	pos  token.Position
+// Run extracts the machines from the loaded packages and checks them; see
+// Check.
+func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
+	return Check(analysis.NewFacts(pkgs))
 }
 
-// parseDirectives extracts the fsm: directives of one comment. The comment
-// must BEGIN with a directive — prose that merely mentions "//fsm:..." is
-// not one. A single directive comment may carry several directives
-// separated by "//", e.g. "//fsm:from q,w //fsm:to a,c".
-func parseDirectives(text string, pos token.Position) []directive {
-	body := strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	if !strings.HasPrefix(body, "fsm:") {
-		return nil
-	}
-	var out []directive
-	for _, seg := range strings.Split(body, "//") {
-		seg = strings.TrimSpace(seg)
-		rest, ok := strings.CutPrefix(seg, "fsm:")
-		if !ok {
-			continue
-		}
-		verb, args, _ := strings.Cut(rest, " ")
-		args = strings.TrimSpace(args)
-		out = append(out, directive{
-			verb: verb,
-			args: strings.Fields(args),
-			rest: args,
-			pos:  pos,
-		})
-	}
-	return out
-}
-
-// Run extracts the machines from the loaded packages and checks them,
+// Check extracts the machines from the fact base and checks them,
 // returning the report and the surviving diagnostics (with //fsm:ignore
 // suppressions applied), sorted by position.
-func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
-	x := newExtractor(pkgs)
+func Check(facts *analysis.Facts) (*Report, []analysis.Diagnostic) {
+	x := newExtractor(facts)
 	rep := x.extract()
 	x.check(rep)
 	for _, name := range rep.MachineNames() {
 		x.crossValidate(rep.Machines[name])
 	}
-	diags := x.suppress(x.diags)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
-	})
+	diags := facts.Unsuppressed(x.diags, "fsm:ignore")
+	analysis.SortDiagnostics(diags)
 	return rep, diags
-}
-
-// suppress drops diagnostics covered by a reasoned //fsm:ignore on the
-// same or the preceding line; reasonless ignores are themselves findings
-// (already reported during extraction).
-func (x *extractor) suppress(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
-	for _, d := range diags {
-		if lines := x.ignored[d.Pos.Filename]; lines[d.Pos.Line] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }

@@ -1,10 +1,8 @@
 package lockcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -12,45 +10,24 @@ import (
 	"speccat/internal/analysis"
 )
 
-// extractor accumulates the lock-discipline facts of one load.
-type extractor struct {
-	pkgs  []*analysis.Package
-	diags []analysis.Diagnostic
-
-	// ignored maps filename -> suppressed lines (//lock:ignore, all rules);
-	// orderIgnored the //lock:ordered lines (lock-order only).
-	ignored      map[string]map[int]bool
-	orderIgnored map[string]map[int]bool
-	// bindable records every well-formed binding directive by comment
-	// position; bound marks the ones a later pass attached to a
-	// declaration. The difference is reported as lock-extract.
-	bindable map[string]directive
-	bound    map[string]bool
-
-	// funcs indexes every function declaration of the load.
-	funcs map[types.Object]*funcInfo
-	// callees caches interface-bridged call resolution per callee object.
-	callees map[types.Object][]*funcInfo
-
-	rep *Report
+// checker accumulates the lock-discipline facts of one fact base.
+type checker struct {
+	facts *analysis.Facts
+	diags analysis.Findings
+	// sums holds this layer's summary of every indexed function.
+	sums map[*analysis.Func]*summary
+	rep  *Report
 }
 
-// funcInfo is the per-function fact sheet the flow analysis consumes.
-type funcInfo struct {
-	pkg  *analysis.Package
-	decl *ast.FuncDecl
-	obj  types.Object
-	// name is the display name, receiver-qualified for methods.
-	name string
-
+// summary is the per-function fact sheet the flow analysis consumes.
+type summary struct {
 	// isRoot marks analysis roots (//fsm:handler, //dur:handler, //comm:op
 	// or //lock:handler docs).
 	isRoot bool
-	// directAcquire / directRelease: the body itself calls
-	// locking.Manager.Acquire / Release / ReleaseAll; directReleaseAll
-	// narrows to ReleaseAll (the lock-leak eligibility pair).
+	// directAcquire / directReleaseAll: the body itself calls
+	// locking.Manager.Acquire / ReleaseAll (the lock-leak eligibility
+	// pair).
 	directAcquire    bool
-	directRelease    bool
 	directReleaseAll bool
 	// deferredRelease holds the transaction expressions ReleaseAll'd in
 	// defer statements — those paths are release-covered at every return.
@@ -67,598 +44,235 @@ type funcInfo struct {
 	// syncWrapIdx is the flattened parameter index this function forwards
 	// as the continuation to stable.Store.SyncThen; -1 otherwise.
 	syncWrapIdx int
-	// paramIdx maps the function's named parameters to their flattened
-	// argument positions.
-	paramIdx map[types.Object]int
 }
 
-func newExtractor(pkgs []*analysis.Package) *extractor {
-	return &extractor{
-		pkgs:         pkgs,
-		ignored:      map[string]map[int]bool{},
-		orderIgnored: map[string]map[int]bool{},
-		bindable:     map[string]directive{},
-		bound:        map[string]bool{},
-		funcs:        map[types.Object]*funcInfo{},
-		callees:      map[types.Object][]*funcInfo{},
-		rep:          &Report{},
+func newChecker(facts *analysis.Facts) *checker {
+	x := &checker{facts: facts, sums: map[*analysis.Func]*summary{}, rep: &Report{}}
+	for _, fn := range facts.Funcs {
+		x.sums[fn] = &summary{syncWrapIdx: -1, deferredRelease: map[string]bool{}, walTxns: map[string]bool{}}
 	}
+	return x
 }
 
-func (x *extractor) reportf(pkg *analysis.Package, pos token.Pos, rule, format string, args ...any) {
-	x.diags = append(x.diags, analysis.Diagnostic{
-		Pos:     pkg.Fset.Position(pos),
-		Rule:    rule,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-func posKey(p token.Position) string {
-	return fmt.Sprintf("%s:%d:%d", p.Filename, p.Line, p.Column)
-}
-
-// extract runs the full pipeline: directive scan, binding, per-function
-// fact computation, the two reachability closures, and the flow analysis
-// of every function in scope.
-func (x *extractor) extract() *Report {
-	for _, pkg := range x.pkgs {
-		for _, f := range pkg.Files {
-			x.scanComments(pkg, f)
-		}
+// check runs the full pipeline: directive validation and binding,
+// per-function fact computation, the two reachability closures, and the
+// flow analysis of every function in scope.
+func (x *checker) check() *Report {
+	x.bindDirectives()
+	for _, fn := range x.facts.Roots("fsm:handler", "dur:handler", "comm:op") {
+		x.sums[fn].isRoot = true
 	}
-	for _, pkg := range x.pkgs {
-		for _, f := range pkg.Files {
-			x.scanFuncs(pkg, f)
+	var roots []*analysis.Func
+	for _, fn := range x.facts.Funcs {
+		if x.sums[fn].isRoot {
+			roots = append(roots, fn)
+			x.rep.Roots = append(x.rep.Roots, fn.Name)
 		}
 	}
 	x.computeFacts()
-	analyzed := x.analysisSet()
+	analyzed := x.facts.Reachable(roots, true, nil)
 	x.countCoverage(analyzed)
-	for _, fi := range analyzed {
-		newFlow(x, fi).run()
+	for _, fn := range analyzed {
+		newFlow(x, fn).run()
 	}
 	x.rep.Analyzed = len(analyzed)
-	x.reportUnbound()
 	sort.Strings(x.rep.Roots)
 	return x.rep
 }
 
-// scanComments validates every //lock: directive and registers
-// suppressions.
-func (x *extractor) scanComments(pkg *analysis.Package, f *ast.File) {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			pos := pkg.Fset.Position(c.Pos())
-			for _, d := range parseDirectives(c.Text, pos) {
-				x.scanDirective(pkg, c, d)
+// bindDirectives validates every //lock: directive and binds
+// //lock:handler to the function whose doc carries it; the suppressions
+// need only a reason.
+func (x *checker) bindDirectives() {
+	for _, d := range x.facts.Directives("lock") {
+		switch d.Verb {
+		case "handler":
+			if len(d.Args) != 0 {
+				x.diags.Reportf(d.Pos, RuleExtract, "malformed //lock:handler: want no arguments, got %d", len(d.Args))
+				continue
 			}
-		}
-	}
-}
-
-func (x *extractor) scanDirective(pkg *analysis.Package, c *ast.Comment, d directive) {
-	switch d.verb {
-	case "handler":
-		if len(d.args) != 0 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "malformed //lock:handler: want no arguments, got %d", len(d.args))
-			return
-		}
-	case "ignore", "ordered":
-		if d.rest == "" {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//lock:%s requires a reason", d.verb)
-			return
-		}
-		lines := x.ignored
-		if d.verb == "ordered" {
-			lines = x.orderIgnored
-		}
-		m := lines[d.pos.Filename]
-		if m == nil {
-			m = map[int]bool{}
-			lines[d.pos.Filename] = m
-		}
-		m[d.pos.Line] = true
-		m[d.pos.Line+1] = true
-		return
-	default:
-		x.reportf(pkg, c.Pos(), RuleExtract, "unknown directive //lock:%s", d.verb)
-		return
-	}
-	x.bindable[posKey(d.pos)] = d
-}
-
-// scanFuncs indexes every function declaration, marking roots: the sibling
-// layers' //fsm:handler, //dur:handler and //comm:op doc directives plus
-// this layer's own //lock:handler.
-func (x *extractor) scanFuncs(pkg *analysis.Package, f *ast.File) {
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		obj := pkg.Info.Defs[fn.Name]
-		if obj == nil {
-			continue
-		}
-		fi := &funcInfo{
-			pkg:             pkg,
-			decl:            fn,
-			obj:             obj,
-			name:            funcDisplayName(fn),
-			syncWrapIdx:     -1,
-			deferredRelease: map[string]bool{},
-			walTxns:         map[string]bool{},
-			paramIdx:        map[types.Object]int{},
-		}
-		idx := 0
-		if fn.Type.Params != nil {
-			for _, field := range fn.Type.Params.List {
-				for _, name := range field.Names {
-					if po := pkg.Info.Defs[name]; po != nil {
-						fi.paramIdx[po] = idx
-					}
-					idx++
-				}
+			if fn := x.facts.FuncOf(d.Func); d.Attach == analysis.AttachFunc && fn != nil {
+				x.sums[fn].isRoot = true
+				continue
 			}
-		}
-		x.funcs[obj] = fi
-		if fn.Doc == nil {
-			continue
-		}
-		for _, c := range fn.Doc.List {
-			body := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if strings.HasPrefix(body, "fsm:handler") || strings.HasPrefix(body, "dur:handler") ||
-				strings.HasPrefix(body, "comm:op") {
-				fi.isRoot = true
+			x.diags.Reportf(d.Pos, RuleExtract, "//lock:handler is not attached to a declaration")
+		case "ignore", "ordered":
+			if d.Rest == "" {
+				x.diags.Reportf(d.Pos, RuleExtract, "//lock:%s requires a reason", d.Verb)
 			}
-			pos := pkg.Fset.Position(c.Pos())
-			for _, d := range parseDirectives(c.Text, pos) {
-				x.bindFuncDirective(pkg, fi, c, d)
-			}
-		}
-		if fi.isRoot {
-			x.rep.Roots = append(x.rep.Roots, fi.name)
+		default:
+			x.diags.Reportf(d.Pos, RuleExtract, "unknown directive //lock:%s", d.Verb)
 		}
 	}
-}
-
-func (x *extractor) bindFuncDirective(pkg *analysis.Package, fi *funcInfo, c *ast.Comment, d directive) {
-	if _, ok := x.bindable[posKey(d.pos)]; !ok {
-		return // malformed; already reported
-	}
-	switch d.verb {
-	case "handler":
-		x.bound[posKey(d.pos)] = true
-		fi.isRoot = true
-	default:
-		x.reportf(pkg, c.Pos(), RuleExtract, "directive //lock:%s cannot bind to a function", d.verb)
-		x.bound[posKey(d.pos)] = true
-	}
-}
-
-func funcDisplayName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	t := fn.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fn.Name.Name
-	}
-	return fn.Name.Name
 }
 
 // computeFacts fills the per-function classification fields: direct lock
 // events, deferred releases, wal decision writes, SyncThen forwarding —
-// then runs the two reachability closures (reachesAcquire, routedAcquire)
-// to a fixpoint over static and interface-bridged calls.
-func (x *extractor) computeFacts() {
-	for _, fi := range x.funcs {
-		x.computeFuncFacts(fi)
+// then propagates the two reachability properties (reachesAcquire,
+// routedAcquire) over static and interface-bridged call edges.
+func (x *checker) computeFacts() {
+	for _, fn := range x.facts.Funcs {
+		x.computeFuncFacts(fn)
 	}
 	// One propagation pass for wrappers of syncThen wrappers.
-	for _, fi := range x.funcs {
-		if fi.syncWrapIdx >= 0 {
+	for _, fn := range x.facts.Funcs {
+		sum := x.sums[fn]
+		if sum.syncWrapIdx >= 0 {
 			continue
 		}
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		for _, c := range fn.Calls {
+			callee := x.sums[c.Static]
+			if callee == nil || callee.syncWrapIdx < 0 || callee.syncWrapIdx >= len(c.Expr.Args) {
+				continue
 			}
-			callee := x.funcs[calleeObjOf(fi.pkg, call.Fun)]
-			if callee == nil || callee.syncWrapIdx < 0 || callee.syncWrapIdx >= len(call.Args) {
-				return true
+			if pidx := fn.ParamIndex(c.Expr.Args[callee.syncWrapIdx]); pidx >= 0 {
+				sum.syncWrapIdx = pidx
 			}
-			if id, ok := unparen(call.Args[callee.syncWrapIdx]).(*ast.Ident); ok {
-				if po := fi.pkg.Info.Uses[id]; po != nil {
-					if pidx, isParam := fi.paramIdx[po]; isParam {
-						fi.syncWrapIdx = pidx
-					}
-				}
-			}
-			return true
-		})
+		}
 	}
-	// reachesAcquire closure.
-	for _, fi := range x.funcs {
-		fi.reachesAcquire = fi.directAcquire
+	for _, sum := range x.sums {
+		sum.reachesAcquire = sum.directAcquire
 	}
-	x.closure(func(fi *funcInfo) bool { return fi.reachesAcquire },
-		func(fi *funcInfo) { fi.reachesAcquire = true })
-	// routedAcquire closure: seed with bodies containing a base routed
-	// call, then propagate through callers.
-	for _, fi := range x.funcs {
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && x.isRoutedCall(fi.pkg, call) {
-				fi.routedAcquire = true
+	x.closure(func(s *summary) *bool { return &s.reachesAcquire })
+	// routedAcquire: seed with bodies containing a base routed call, then
+	// propagate through callers.
+	for _, fn := range x.facts.Funcs {
+		for _, c := range fn.Calls {
+			if x.isRoutedCall(fn.Pkg, c) {
+				x.sums[fn].routedAcquire = true
 			}
-			return true
-		})
+		}
 	}
-	x.closure(func(fi *funcInfo) bool { return fi.routedAcquire },
-		func(fi *funcInfo) { fi.routedAcquire = true })
+	x.closure(func(s *summary) *bool { return &s.routedAcquire })
 }
 
 // closure propagates a boolean function property backwards over the call
-// graph (static and interface-bridged calls) until no function changes.
-func (x *extractor) closure(has func(*funcInfo) bool, set func(*funcInfo)) {
+// graph (static and interface-bridged edges) until no function changes.
+func (x *checker) closure(prop func(*summary) *bool) {
 	for changed := true; changed; {
 		changed = false
-		for _, fi := range x.funcs {
-			if has(fi) {
-				continue
-			}
-			ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				for _, callee := range x.resolveCallees(fi.pkg, call) {
-					if has(callee) {
-						set(fi)
+		for _, fn := range x.facts.Funcs {
+			has := prop(x.sums[fn])
+			for _, c := range fn.Calls {
+				for _, callee := range c.Callees() {
+					if !*has && *prop(x.sums[callee]) {
+						*has = true
 						changed = true
-						return false
 					}
 				}
-				return true
-			})
+			}
 		}
 	}
 }
 
-func (x *extractor) computeFuncFacts(fi *funcInfo) {
-	pkg := fi.pkg
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.DeferStmt:
-			obj := calleeObjOf(pkg, v.Call.Fun)
-			if isManagerMethod(obj, "ReleaseAll") && len(v.Call.Args) > 0 {
-				fi.deferredRelease[types.ExprString(unparen(v.Call.Args[0]))] = true
+func (x *checker) computeFuncFacts(fn *analysis.Func) {
+	sum := x.sums[fn]
+	for _, c := range fn.Calls {
+		switch {
+		case isManagerMethod(c.Obj, "Acquire"):
+			sum.directAcquire = true
+		case isManagerMethod(c.Obj, "ReleaseAll"):
+			sum.directReleaseAll = true
+		case isWalDecision(c.Obj):
+			if len(c.Expr.Args) > 0 {
+				sum.walTxns[txnOf(c.Expr.Args[0])] = true
 			}
-		case *ast.CallExpr:
-			obj := calleeObjOf(pkg, v.Fun)
-			switch {
-			case isManagerMethod(obj, "Acquire"):
-				fi.directAcquire = true
-			case isManagerMethod(obj, "ReleaseAll"):
-				fi.directRelease = true
-				fi.directReleaseAll = true
-			case isManagerMethod(obj, "Release"):
-				fi.directRelease = true
-			case isWalDecision(obj):
-				if len(v.Args) > 0 {
-					fi.walTxns[types.ExprString(unparen(v.Args[0]))] = true
-				}
-			case isSyncThen(obj):
-				if len(v.Args) > 0 {
-					if id, ok := unparen(v.Args[0]).(*ast.Ident); ok {
-						if po := pkg.Info.Uses[id]; po != nil {
-							if pidx, isParam := fi.paramIdx[po]; isParam {
-								fi.syncWrapIdx = pidx
-							}
-						}
-					}
+		case isSyncThen(c.Obj):
+			if len(c.Expr.Args) > 0 {
+				if pidx := fn.ParamIndex(c.Expr.Args[0]); pidx >= 0 {
+					sum.syncWrapIdx = pidx
 				}
 			}
+		}
+	}
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		if v, ok := n.(*ast.DeferStmt); ok && len(v.Call.Args) > 0 && isManagerMethod(x.facts.CallOf(v.Call).Obj, "ReleaseAll") {
+			sum.deferredRelease[txnOf(v.Call.Args[0])] = true
 		}
 		return true
 	})
 }
 
-// resolveCallees resolves a call to the function declarations it may reach
-// in this load: the static callee when it is declared here, or — for a
-// call through an interface method — every declared method of a concrete
-// type implementing that interface. The result is cached per callee
-// object (interface resolution is call-site independent).
-func (x *extractor) resolveCallees(pkg *analysis.Package, call *ast.CallExpr) []*funcInfo {
-	obj := calleeObjOf(pkg, call.Fun)
-	if obj == nil {
-		return nil
-	}
-	if fi := x.funcs[obj]; fi != nil {
-		return []*funcInfo{fi}
-	}
-	if out, ok := x.callees[obj]; ok {
-		return out
-	}
-	iface := interfaceRecv(obj)
-	if iface == nil {
-		x.callees[obj] = nil
-		return nil
-	}
-	fn := obj.(*types.Func)
-	var out []*funcInfo
-	for _, fi := range sortedFuncs(x.funcs) {
-		if fi.decl.Name.Name != fn.Name() {
-			continue
-		}
-		named := recvNamed(fi)
-		if named == nil {
-			continue
-		}
-		if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
-			out = append(out, fi)
-		}
-	}
-	x.callees[obj] = out
-	return out
-}
+// txnOf renders a lock-call argument as the syntactic identity its
+// transaction (or key) is tracked by.
+func txnOf(e ast.Expr) string { return types.ExprString(analysis.Unparen(e)) }
 
 // isRoutedCall reports whether a call can acquire locks through
 // shard-routed managers: a direct Acquire whose manager expression indexes
 // a collection with a non-constant index, a method on a multi-manager type
 // that reaches an acquire, or an interface-method call with such an
 // implementation in the load.
-func (x *extractor) isRoutedCall(pkg *analysis.Package, call *ast.CallExpr) bool {
-	obj := calleeObjOf(pkg, call.Fun)
-	if obj == nil {
-		return false
-	}
-	if isManagerMethod(obj, "Acquire") {
-		ie := managerIndexExpr(call)
+func (x *checker) isRoutedCall(pkg *analysis.Package, c *analysis.Call) bool {
+	if isManagerMethod(c.Obj, "Acquire") {
+		ie := managerIndexExpr(c.Expr)
 		if ie == nil {
 			return false
 		}
 		_, isConst := constIndex(pkg, ie)
 		return !isConst
 	}
-	for _, fi := range x.resolveCallees(pkg, call) {
-		named := recvNamed(fi)
-		if named != nil && fi.reachesAcquire && multiManager(named) {
+	for _, fn := range c.Callees() {
+		if fn.Recv != nil && x.sums[fn].reachesAcquire && multiManager(fn.Recv) {
 			return true
 		}
 	}
 	return false
 }
 
-// analysisSet is the functions the flow analysis walks: everything
-// reachable from an analysis root through static and interface-bridged
-// calls.
-func (x *extractor) analysisSet() []*funcInfo {
-	visited := map[*funcInfo]bool{}
-	var queue []*funcInfo
-	for _, fi := range sortedFuncs(x.funcs) {
-		if fi.isRoot {
-			visited[fi] = true
-			queue = append(queue, fi)
-		}
-	}
-	for len(queue) > 0 {
-		fi := queue[0]
-		queue = queue[1:]
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			for _, callee := range x.resolveCallees(fi.pkg, call) {
-				if !visited[callee] {
-					visited[callee] = true
-					queue = append(queue, callee)
-				}
-			}
-			return true
-		})
-	}
-	out := make([]*funcInfo, 0, len(visited))
-	for _, fi := range sortedFuncs(x.funcs) {
-		if visited[fi] {
-			out = append(out, fi)
-		}
-	}
-	return out
-}
-
 // countCoverage fills the non-vacuity counters over the analyzed set.
-func (x *extractor) countCoverage(analyzed []*funcInfo) {
-	for _, fi := range analyzed {
-		pkg := fi.pkg
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			obj := calleeObjOf(pkg, call.Fun)
+func (x *checker) countCoverage(analyzed []*analysis.Func) {
+	for _, fn := range analyzed {
+		for _, c := range fn.Calls {
 			switch {
-			case isManagerMethod(obj, "Acquire"):
+			case isManagerMethod(c.Obj, "Acquire"):
 				x.rep.AcquireSites++
-			case isManagerMethod(obj, "Release", "ReleaseAll"):
+			case isManagerMethod(c.Obj, "Release", "ReleaseAll"):
 				x.rep.ReleaseSites++
 			}
-			if x.isRoutedCall(pkg, call) {
+			if x.isRoutedCall(fn.Pkg, c) {
 				x.rep.RoutedCalls++
 			}
-			if conts := x.syncThenConts(pkg, fi, call); len(conts) > 0 {
-				x.rep.SyncThenSites += len(conts)
+			if x.syncThenCont(c) != nil {
+				x.rep.SyncThenSites++
 			}
-			return true
-		})
+		}
 	}
 }
 
-// syncThenConts returns the continuation function literals a call hands to
-// stable.Store.SyncThen, directly or through a wrapper. Calls that forward
-// this function's own continuation parameter contribute nothing — their
-// call sites carry the literal.
-func (x *extractor) syncThenConts(pkg *analysis.Package, fi *funcInfo, call *ast.CallExpr) []*ast.FuncLit {
+// syncThenCont returns the continuation function literal a call hands to
+// stable.Store.SyncThen, directly or through a wrapper, nil when it hands
+// none. Calls that forward this function's own continuation parameter
+// contribute nothing — their call sites carry the literal.
+func (x *checker) syncThenCont(c *analysis.Call) *ast.FuncLit {
 	idx := -1
-	obj := calleeObjOf(pkg, call.Fun)
-	if isSyncThen(obj) {
+	if isSyncThen(c.Obj) {
 		idx = 0
-	} else if callee := x.funcs[obj]; callee != nil && callee.syncWrapIdx >= 0 {
+	} else if callee := x.sums[c.Static]; callee != nil && callee.syncWrapIdx >= 0 {
 		idx = callee.syncWrapIdx
 	}
-	if idx < 0 || idx >= len(call.Args) {
+	if idx < 0 || idx >= len(c.Expr.Args) {
 		return nil
 	}
-	if lit, ok := unparen(call.Args[idx]).(*ast.FuncLit); ok {
-		return []*ast.FuncLit{lit}
-	}
-	return nil
-}
-
-// sortedFuncs orders functions by position for deterministic output.
-func sortedFuncs(m map[types.Object]*funcInfo) []*funcInfo {
-	out := make([]*funcInfo, 0, len(m))
-	for _, fi := range m {
-		out = append(out, fi)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a := out[i].pkg.Fset.Position(out[i].decl.Pos())
-		b := out[j].pkg.Fset.Position(out[j].decl.Pos())
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	return out
-}
-
-// reportUnbound flags directives that never attached to a declaration.
-func (x *extractor) reportUnbound() {
-	var keys []string
-	for key := range x.bindable {
-		if !x.bound[key] {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		d := x.bindable[key]
-		x.diags = append(x.diags, analysis.Diagnostic{
-			Pos:     d.pos,
-			Rule:    RuleExtract,
-			Message: fmt.Sprintf("//lock:%s is not attached to a declaration", d.verb),
-		})
-	}
+	lit, _ := analysis.Unparen(c.Expr.Args[idx]).(*ast.FuncLit)
+	return lit
 }
 
 // --- object and type classification helpers --------------------------------
 
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// calleeObjOf resolves a call's function expression to its object.
-func calleeObjOf(pkg *analysis.Package, fun ast.Expr) types.Object {
-	switch v := unparen(fun).(type) {
-	case *ast.Ident:
-		return pkg.Info.Uses[v]
-	case *ast.SelectorExpr:
-		return pkg.Info.Uses[v.Sel]
-	}
-	return nil
-}
-
-// isMethodOn reports whether obj is one of the named methods on the named
-// type of a package whose import path ends in pkgSuffix. Interface methods
-// match too: an interface method's receiver type is the named interface.
-func isMethodOn(obj types.Object, pkgSuffix, typeName string, names ...string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	tn := named.Obj()
-	if tn.Name() != typeName || tn.Pkg() == nil || !strings.HasSuffix(tn.Pkg().Path(), pkgSuffix) {
-		return false
-	}
-	for _, name := range names {
-		if fn.Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
 // isManagerMethod recognizes the locking.Manager lock-event API.
 func isManagerMethod(obj types.Object, names ...string) bool {
-	return isMethodOn(obj, "internal/locking", "Manager", names...)
+	return analysis.IsMethodOn(obj, "internal/locking", "Manager", names...)
 }
 
 // isWalDecision recognizes the wal.Log decision records — the durable
 // point strictness must reach before ReleaseAll.
 func isWalDecision(obj types.Object) bool {
-	return isMethodOn(obj, "internal/wal", "Log", "Commit", "Abort")
+	return analysis.IsMethodOn(obj, "internal/wal", "Log", "Commit", "Abort")
 }
 
 // isSyncThen recognizes the stable.Store durability-wait primitive.
 func isSyncThen(obj types.Object) bool {
-	return isMethodOn(obj, "internal/stable", "Store", "SyncThen")
-}
-
-// interfaceRecv returns the interface type obj is a method of, nil for
-// concrete methods and non-methods.
-func interfaceRecv(obj types.Object) *types.Interface {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	iface, _ := sig.Recv().Type().Underlying().(*types.Interface)
-	return iface
-}
-
-// recvNamed returns the named receiver type of a method's funcInfo
-// (pointer receivers dereferenced), nil for plain functions.
-func recvNamed(fi *funcInfo) *types.Named {
-	fn, ok := fi.obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
+	return analysis.IsMethodOn(obj, "internal/stable", "Store", "SyncThen")
 }
 
 // ownsManager reports whether t (a named struct, possibly behind a
@@ -725,13 +339,13 @@ func underlyingStruct(t types.Type) *types.Struct {
 // receiver expression and returns the first index expression in it
 // (s.shards[i].locks → s.shards[i]), nil when the chain has none.
 func managerIndexExpr(call *ast.CallExpr) *ast.IndexExpr {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
 	e := sel.X
 	for {
-		switch v := unparen(e).(type) {
+		switch v := analysis.Unparen(e).(type) {
 		case *ast.SelectorExpr:
 			e = v.X
 		case *ast.IndexExpr:

@@ -1,11 +1,9 @@
 package lockcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -29,8 +27,7 @@ type lockState struct {
 	durable map[string]bool
 	// lastShard tracks the last constant shard index a transaction
 	// acquired through — kept at joins only when all live branches agree.
-	lastShard  map[string]shardAt
-	terminated bool
+	lastShard map[string]shardAt
 }
 
 type shardAt struct {
@@ -47,13 +44,13 @@ func newLockState() *lockState {
 	}
 }
 
-func (s *lockState) clone() *lockState {
+// Clone implements analysis.State.
+func (s *lockState) Clone() *lockState {
 	c := &lockState{
-		acquired:   make(map[string]token.Pos, len(s.acquired)),
-		released:   make(map[string]token.Pos, len(s.released)),
-		durable:    make(map[string]bool, len(s.durable)),
-		lastShard:  make(map[string]shardAt, len(s.lastShard)),
-		terminated: s.terminated,
+		acquired:  make(map[string]token.Pos, len(s.acquired)),
+		released:  make(map[string]token.Pos, len(s.released)),
+		durable:   make(map[string]bool, len(s.durable)),
+		lastShard: make(map[string]shardAt, len(s.lastShard)),
 	}
 	for k, v := range s.acquired {
 		c.acquired[k] = v
@@ -70,20 +67,10 @@ func (s *lockState) clone() *lockState {
 	return c
 }
 
-// join folds branch out-states back into s: may-union for acquired,
-// must-intersection for released/durable/lastShard over the branches that
-// did not terminate. No live branch means all paths returned.
-func (s *lockState) join(branches []*lockState) {
-	var live []*lockState
-	for _, b := range branches {
-		if !b.terminated {
-			live = append(live, b)
-		}
-	}
-	if len(live) == 0 {
-		s.terminated = true
-		return
-	}
+// Join implements analysis.State: may-union for acquired,
+// must-intersection for released/durable/lastShard over the live
+// branches.
+func (s *lockState) Join(live []*lockState, _ []token.Pos) {
 	acquired := map[string]token.Pos{}
 	for _, b := range live {
 		for k, p := range b.acquired {
@@ -141,206 +128,79 @@ func (s *lockState) join(branches []*lockState) {
 // in-state: a caller's releases do not excuse acquisitions inside the
 // callee (the callee may be entered on a path without them).
 type flow struct {
-	x   *extractor
+	x   *checker
 	pkg *analysis.Package
-	fi  *funcInfo
-	// litDepth > 0 while walking a function literal's body: leak checks
-	// apply only to the enclosing function's own returns (a closure
-	// returning while the outer function still holds locks is not an exit
-	// of the transaction).
-	litDepth int
+	fn  *analysis.Func
 }
 
-func newFlow(x *extractor, fi *funcInfo) *flow {
-	return &flow{x: x, pkg: fi.pkg, fi: fi}
+func newFlow(x *checker, fn *analysis.Func) *flow {
+	return &flow{x: x, pkg: fn.Pkg, fn: fn}
 }
 
 func (a *flow) run() {
 	s := newLockState()
-	a.block(a.fi.decl.Body.List, s)
-	if !s.terminated {
-		a.checkLeak(s, a.fi.decl.Body.Rbrace)
+	w := &analysis.Walker[*lockState]{Facts: a.x.facts, Hooks: a}
+	if w.Walk(a.fn.Decl.Body, s) {
+		a.checkLeak(s, a.fn.Decl.Body.Rbrace)
 	}
 }
 
-func (a *flow) block(list []ast.Stmt, s *lockState) {
-	for _, st := range list {
-		a.stmt(st, s)
-	}
-}
+// IndexWrite implements analysis.Hooks; element writes carry no lock rule.
+func (a *flow) IndexWrite(ast.Expr, token.Pos, *lockState) {}
 
-func (a *flow) stmt(st ast.Stmt, s *lockState) {
-	switch v := st.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		a.block(v.List, s)
-	case *ast.ExprStmt:
-		a.expr(v.X, s)
-	case *ast.AssignStmt:
-		for _, rhs := range v.Rhs {
-			a.expr(rhs, s)
-		}
-	case *ast.IncDecStmt:
-		a.expr(v.X, s)
-	case *ast.DeclStmt:
-		if gd, ok := v.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, val := range vs.Values {
-						a.expr(val, s)
-					}
-				}
-			}
-		}
-	case *ast.IfStmt:
-		a.stmt(v.Init, s)
-		a.expr(v.Cond, s)
-		then := s.clone()
-		a.stmt(v.Body, then)
-		els := s.clone()
-		if v.Else != nil {
-			a.stmt(v.Else, els)
-		}
-		s.join([]*lockState{then, els})
-	case *ast.SwitchStmt:
-		a.stmt(v.Init, s)
-		a.expr(v.Tag, s)
-		a.caseBranches(v.Body, s)
-	case *ast.TypeSwitchStmt:
-		a.stmt(v.Init, s)
-		a.stmt(v.Assign, s)
-		a.caseBranches(v.Body, s)
-	case *ast.SelectStmt:
-		var branches []*lockState
-		for _, cl := range v.Body.List {
-			cc, ok := cl.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			b := s.clone()
-			a.stmt(cc.Comm, b)
-			a.block(cc.Body, b)
-			branches = append(branches, b)
-		}
-		if len(branches) > 0 {
-			s.join(branches)
-		}
+// Loop implements analysis.Hooks: loops whose bodies acquire through
+// shard-routed managers must iterate in canonical order.
+func (a *flow) Loop(loop ast.Stmt, _ *lockState) {
+	switch v := loop.(type) {
 	case *ast.ForStmt:
-		a.stmt(v.Init, s)
-		a.expr(v.Cond, s)
 		a.checkLoopOrder(v, v.Body, nil, nil, false)
-		body := s.clone()
-		a.block(v.Body.List, body)
-		a.stmt(v.Post, body)
-		// The loop may run zero times: the out-state is the in-state.
 	case *ast.RangeStmt:
-		a.expr(v.X, s)
 		keyObj, sliceRange := a.rangeKey(v)
 		a.checkLoopOrder(v, v.Body, keyObj, v.X, sliceRange)
-		body := s.clone()
-		a.block(v.Body.List, body)
-	case *ast.ReturnStmt:
-		for _, r := range v.Results {
-			a.expr(r, s)
-		}
-		a.checkLeak(s, v.Pos())
-		s.terminated = true
-	case *ast.BranchStmt:
-		s.terminated = true
-	case *ast.DeferStmt:
-		// Runs at return; deferred releases are credited via the
-		// deferredRelease fact, not the flow state.
-		a.expr(v.Call, s.clone())
-	case *ast.GoStmt:
-		a.expr(v.Call, s.clone())
-	case *ast.SendStmt:
-		a.expr(v.Chan, s)
-		a.expr(v.Value, s)
-	case *ast.LabeledStmt:
-		a.stmt(v.Stmt, s)
 	}
 }
 
-// caseBranches joins the clauses of a switch or type switch; a missing
-// default adds an implicit pass-through branch.
-func (a *flow) caseBranches(body *ast.BlockStmt, s *lockState) {
-	var branches []*lockState
-	hasDefault := false
-	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		b := s.clone()
-		for _, e := range cc.List {
-			a.expr(e, b)
-		}
-		a.block(cc.Body, b)
-		branches = append(branches, b)
-	}
-	if !hasDefault {
-		branches = append(branches, s.clone())
-	}
-	if len(branches) > 0 {
-		s.join(branches)
+// Return implements analysis.Hooks: leak checks apply only to the
+// enclosing function's own returns (a closure returning while the outer
+// function still holds locks is not an exit of the transaction).
+func (a *flow) Return(ret *ast.ReturnStmt, inLit bool, s *lockState) {
+	if !inLit {
+		a.checkLeak(s, ret.Pos())
 	}
 }
 
-// expr walks an expression, handling calls and function literals (a
-// literal's body is analyzed against a snapshot: it may run later, and
-// its lock events must not flow into the registration point).
-func (a *flow) expr(e ast.Expr, s *lockState) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncLit:
-			a.litDepth++
-			a.block(v.Body.List, s.clone())
-			a.litDepth--
-			return false
-		case *ast.CallExpr:
-			a.handleCall(v, s)
-		}
-		return true
-	})
-}
-
-// handleCall classifies one call: a lock event (acquire / release), a
-// durable decision record, or a durability wait carrying a continuation.
-func (a *flow) handleCall(c *ast.CallExpr, s *lockState) {
-	obj := calleeObjOf(a.pkg, c.Fun)
+// Call implements analysis.Hooks: it classifies one call as a lock event
+// (acquire / release), a durable decision record, or a durability wait
+// carrying a continuation.
+func (a *flow) Call(call *analysis.Call, s *lockState) {
+	obj, c := call.Obj, call.Expr
 	if obj == nil {
 		return
 	}
 	switch {
 	case isManagerMethod(obj, "Acquire") && len(c.Args) >= 2:
-		txn := types.ExprString(unparen(c.Args[0]))
-		key := types.ExprString(unparen(c.Args[1]))
+		txn := txnOf(c.Args[0])
+		key := txnOf(c.Args[1])
 		if relPos, ok := s.released[txn]; ok {
-			a.x.reportf(a.pkg, c.Pos(), RuleTwoPhase,
+			a.x.diags.Reportf(a.pkg.Fset.Position(c.Pos()), RuleTwoPhase,
 				"acquires %s for %s after its locks were released at %s; two-phase locking forbids growing after shrinking",
-				key, txn, a.shortPos(relPos))
+				key, txn, a.pkg.ShortPos(relPos))
 		}
 		s.acquired[txn+"\x00"+key] = c.Pos()
 		if ie := managerIndexExpr(c); ie != nil {
 			if idx, ok := constIndex(a.pkg, ie); ok {
 				if last, held := s.lastShard[txn]; held && idx < last.idx {
-					a.x.reportf(a.pkg, c.Pos(), RuleOrder,
+					a.x.diags.Reportf(a.pkg.Fset.Position(c.Pos()), RuleOrder,
 						"acquires shard %d for %s after shard %d (%s); cross-shard acquisitions must follow ascending shard-index order, or a detector-blind waits-for cycle can close across managers",
-						idx, txn, last.idx, a.shortPos(last.pos))
+						idx, txn, last.idx, a.pkg.ShortPos(last.pos))
 				}
 				s.lastShard[txn] = shardAt{idx: idx, pos: c.Pos()}
 			}
 		}
 	case isManagerMethod(obj, "ReleaseAll") && len(c.Args) >= 1:
-		txn := types.ExprString(unparen(c.Args[0]))
-		if a.fi.walTxns[txn] && !s.durable[txn] {
-			a.x.reportf(a.pkg, c.Pos(), RuleHold,
+		txn := txnOf(c.Args[0])
+		if a.x.sums[a.fn].walTxns[txn] && !s.durable[txn] {
+			a.x.diags.Reportf(a.pkg.Fset.Position(c.Pos()), RuleHold,
 				"releases %s's locks before its durable decision record; the wal commit/abort must land first (strictness protects recovery)",
 				txn)
 		}
@@ -353,14 +213,14 @@ func (a *flow) handleCall(c *ast.CallExpr, s *lockState) {
 		delete(s.lastShard, txn)
 		s.released[txn] = c.Pos()
 	case isManagerMethod(obj, "Release") && len(c.Args) >= 2:
-		txn := types.ExprString(unparen(c.Args[0]))
-		key := types.ExprString(unparen(c.Args[1]))
+		txn := txnOf(c.Args[0])
+		key := txnOf(c.Args[1])
 		delete(s.acquired, txn+"\x00"+key)
 		s.released[txn] = c.Pos()
 	case isWalDecision(obj) && len(c.Args) >= 1:
-		s.durable[types.ExprString(unparen(c.Args[0]))] = true
+		s.durable[txnOf(c.Args[0])] = true
 	default:
-		for _, lit := range a.x.syncThenConts(a.pkg, a.fi, c) {
+		if lit := a.x.syncThenCont(call); lit != nil {
 			a.checkContinuation(lit)
 		}
 	}
@@ -381,18 +241,18 @@ func (a *flow) checkContinuation(lit *ast.FuncLit) {
 		if !ok {
 			return true
 		}
-		obj := calleeObjOf(a.pkg, call.Fun)
-		if isManagerMethod(obj, "Acquire") {
-			a.x.reportf(a.pkg, call.Pos(), RuleHold,
+		c := a.x.facts.CallOf(call)
+		if isManagerMethod(c.Obj, "Acquire") {
+			a.x.diags.Reportf(a.pkg.Fset.Position(call.Pos()), RuleHold,
 				"acquires a lock inside a stable.SyncThen continuation; the growing phase must complete before the durability wait")
 			reported = true
 			return false
 		}
-		for _, callee := range a.x.resolveCallees(a.pkg, call) {
-			if callee.reachesAcquire {
-				a.x.reportf(a.pkg, call.Pos(), RuleHold,
+		for _, callee := range c.Callees() {
+			if a.x.sums[callee].reachesAcquire {
+				a.x.diags.Reportf(a.pkg.Fset.Position(call.Pos()), RuleHold,
 					"calls %s, which acquires locks, inside a stable.SyncThen continuation; the growing phase must complete before the durability wait",
-					callee.name)
+					callee.Name)
 				reported = true
 				return false
 			}
@@ -405,7 +265,7 @@ func (a *flow) checkContinuation(lit *ast.FuncLit) {
 // ranged expression is a slice or array (index order ascending — a map
 // range would visit shards in randomized order).
 func (a *flow) rangeKey(v *ast.RangeStmt) (types.Object, bool) {
-	id, ok := unparen(v.Key).(*ast.Ident)
+	id, ok := analysis.Unparen(v.Key).(*ast.Ident)
 	if !ok {
 		return nil, false
 	}
@@ -461,7 +321,7 @@ func (a *flow) checkLoopOrder(loop ast.Stmt, body *ast.BlockStmt, keyObj types.O
 			if sliceRange && keyObj != nil && a.indexedByKey(call, keyObj, rangeX) {
 				return true
 			}
-			a.x.reportf(a.pkg, loop.Pos(), RuleOrder,
+			a.x.diags.Reportf(a.pkg.Fset.Position(loop.Pos()), RuleOrder,
 				"loop body acquires locks through %s with iteration-dependent shard routing; acquisitions must follow ascending shard-index order (sort the iteration by shard first, or annotate //lock:ordered with the reason no cross-manager cycle can form)",
 				name)
 			reported = true
@@ -476,15 +336,13 @@ func (a *flow) checkLoopOrder(loop ast.Stmt, body *ast.BlockStmt, keyObj types.O
 // routedCallee reports whether a call can acquire through shard-routed
 // managers (directly or transitively) and names the offender.
 func (a *flow) routedCallee(call *ast.CallExpr) (bool, string) {
-	if a.x.isRoutedCall(a.pkg, call) {
-		if obj := calleeObjOf(a.pkg, call.Fun); obj != nil {
-			return true, obj.Name()
-		}
-		return true, "a shard-routed call"
+	c := a.x.facts.CallOf(call)
+	if a.x.isRoutedCall(a.pkg, c) {
+		return true, c.Obj.Name()
 	}
-	for _, callee := range a.x.resolveCallees(a.pkg, call) {
-		if callee.routedAcquire {
-			return true, callee.name
+	for _, callee := range c.Callees() {
+		if a.x.sums[callee].routedAcquire {
+			return true, callee.Name
 		}
 	}
 	return false, ""
@@ -498,11 +356,11 @@ func (a *flow) indexedByKey(call *ast.CallExpr, keyObj types.Object, rangeX ast.
 	if ie == nil {
 		return false
 	}
-	id, ok := unparen(ie.Index).(*ast.Ident)
+	id, ok := analysis.Unparen(ie.Index).(*ast.Ident)
 	if !ok || a.pkg.Info.Uses[id] != keyObj {
 		return false
 	}
-	return types.ExprString(unparen(ie.X)) == types.ExprString(unparen(rangeX))
+	return types.ExprString(analysis.Unparen(ie.X)) == types.ExprString(analysis.Unparen(rangeX))
 }
 
 // checkLeak convicts a return path on which an acquired lock survives.
@@ -511,13 +369,14 @@ func (a *flow) indexedByKey(call *ast.CallExpr, keyObj types.Object, rangeX ast.
 // and leaves release to Commit/Abort is the normal strict-2PL split, not
 // a leak.
 func (a *flow) checkLeak(s *lockState, pos token.Pos) {
-	if a.litDepth > 0 || !a.fi.directAcquire || !a.fi.directReleaseAll {
+	sum := a.x.sums[a.fn]
+	if !sum.directAcquire || !sum.directReleaseAll {
 		return
 	}
 	keys := make([]string, 0, len(s.acquired))
 	for k := range s.acquired {
 		txn, _, _ := strings.Cut(k, "\x00")
-		if a.fi.deferredRelease[txn] {
+		if sum.deferredRelease[txn] {
 			continue
 		}
 		keys = append(keys, k)
@@ -527,12 +386,7 @@ func (a *flow) checkLeak(s *lockState, pos token.Pos) {
 	}
 	sort.Strings(keys)
 	txn, key, _ := strings.Cut(keys[0], "\x00")
-	a.x.reportf(a.pkg, pos, RuleLeak,
+	a.x.diags.Reportf(a.pkg.Fset.Position(pos), RuleLeak,
 		"returns while %s may still hold %s (acquired at %s) with no ReleaseAll on this path; strict 2PL releases every lock at transaction end",
-		txn, key, a.shortPos(s.acquired[keys[0]]))
-}
-
-func (a *flow) shortPos(p token.Pos) string {
-	pos := a.pkg.Fset.Position(p)
-	return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
+		txn, key, a.pkg.ShortPos(s.acquired[keys[0]]))
 }

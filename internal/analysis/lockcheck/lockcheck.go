@@ -58,10 +58,6 @@
 package lockcheck
 
 import (
-	"go/token"
-	"sort"
-	"strings"
-
 	"speccat/internal/analysis"
 )
 
@@ -95,85 +91,27 @@ type Report struct {
 	SyncThenSites int
 }
 
-// directive is one parsed //lock:<verb> annotation.
-type directive struct {
-	verb string
-	args []string
-	// rest is the raw argument text (reason-bearing verbs keep spaces).
-	rest string
-	pos  token.Position
-}
-
-// parseDirectives extracts the lock: directives of one comment. Like the
-// sibling layers, the comment must BEGIN with a directive, but the leading
-// directive may belong to a sibling layer: function docs carry
-// "//comm:op write" or "//fsm:handler ..." that double as lockcheck roots,
-// each layer reading its own segments and skipping the others'.
-func parseDirectives(text string, pos token.Position) []directive {
-	body := strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	if !strings.HasPrefix(body, "lock:") && !strings.HasPrefix(body, "fsm:") &&
-		!strings.HasPrefix(body, "dur:") && !strings.HasPrefix(body, "comm:") {
-		return nil
-	}
-	var out []directive
-	for _, seg := range strings.Split(body, "//") {
-		seg = strings.TrimSpace(seg)
-		rest, ok := strings.CutPrefix(seg, "lock:")
-		if !ok {
-			continue
-		}
-		verb, args, _ := strings.Cut(rest, " ")
-		args = strings.TrimSpace(args)
-		out = append(out, directive{
-			verb: verb,
-			args: strings.Fields(args),
-			rest: args,
-			pos:  pos,
-		})
-	}
-	return out
-}
-
-// Run analyzes the loaded packages and returns the coverage report and the
-// surviving diagnostics (with //lock:ignore and //lock:ordered
-// suppressions applied), sorted by position. The run is purely static; see
-// CrossValidate for the dynamic confirmation of lock-order findings.
+// Run analyzes the loaded packages; see Check.
 func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
-	x := newExtractor(pkgs)
-	rep := x.extract()
-	diags := x.suppress(x.diags)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
-	})
-	return rep, diags
+	return Check(analysis.NewFacts(pkgs))
 }
 
-// suppress drops diagnostics covered by a reasoned //lock:ignore (any
-// rule) or //lock:ordered (lock-order only) on the same or the preceding
-// line; reasonless suppressions are themselves findings (already reported
-// during extraction).
-func (x *extractor) suppress(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
-	for _, d := range diags {
-		if lines := x.ignored[d.Pos.Filename]; lines[d.Pos.Line] {
+// Check analyzes the fact base and returns the coverage report and the
+// surviving diagnostics, sorted by position: a reasoned //lock:ignore
+// suppresses any rule and //lock:ordered suppresses lock-order, each on
+// its own and the next line (reasonless suppressions are themselves
+// findings). The run is purely static; see CrossValidate for the dynamic
+// confirmation of lock-order findings.
+func Check(facts *analysis.Facts) (*Report, []analysis.Diagnostic) {
+	x := newChecker(facts)
+	rep := x.check()
+	var diags analysis.Findings
+	for _, d := range x.diags {
+		if facts.Suppressed(d, "lock:ignore") || d.Rule == RuleOrder && facts.Suppressed(d, "lock:ordered") {
 			continue
 		}
-		if d.Rule == RuleOrder {
-			if lines := x.orderIgnored[d.Pos.Filename]; lines[d.Pos.Line] {
-				continue
-			}
-		}
-		out = append(out, d)
+		diags = append(diags, d)
 	}
-	return out
+	analysis.SortDiagnostics(diags)
+	return rep, diags
 }

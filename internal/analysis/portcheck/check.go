@@ -1,9 +1,7 @@
 package portcheck
 
 import (
-	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -15,12 +13,12 @@ import (
 // imports (suppressible per import line for harness files that own the
 // simulator wiring), and no type assertion from an rt interface back to
 // a concrete simulator type (assert rt.Quiescer instead).
-func (x *extractor) checkBoundary(pkg *analysis.Package) {
+func (x *checker) checkBoundary(pkg *analysis.Package) {
 	for _, f := range pkg.Files {
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
 			if simulatorPaths[path] {
-				x.reportf(pkg, imp.Pos(), RuleBoundary,
+				x.diags.Reportf(pkg.Fset.Position(imp.Pos()), RuleBoundary,
 					"engine package imports the simulator package %s; engines speak rt.Transport / rt.Timer only", path)
 			}
 		}
@@ -32,7 +30,7 @@ func (x *extractor) checkBoundary(pkg *analysis.Package) {
 			case *ast.CaseClause:
 				for _, e := range v.List {
 					if x.simulatorType(pkg, e) {
-						x.reportf(pkg, e.Pos(), RuleBoundary,
+						x.diags.Reportf(pkg.Fset.Position(e.Pos()), RuleBoundary,
 							"type switch reaches around the rt boundary to the concrete simulator type %s; assert an rt interface (e.g. rt.Quiescer) instead", typeDisplay(pkg, e))
 					}
 				}
@@ -41,7 +39,7 @@ func (x *extractor) checkBoundary(pkg *analysis.Package) {
 				return true
 			}
 			if target != nil && x.simulatorType(pkg, target) {
-				x.reportf(pkg, target.Pos(), RuleBoundary,
+				x.diags.Reportf(pkg.Fset.Position(target.Pos()), RuleBoundary,
 					"type assertion reaches around the rt boundary to the concrete simulator type %s; assert an rt interface (e.g. rt.Quiescer) instead", typeDisplay(pkg, target))
 			}
 			return true
@@ -53,7 +51,7 @@ func (x *extractor) checkBoundary(pkg *analysis.Package) {
 // walled-off simulator packages. Aliases re-exported through internal/rt
 // (rt.Message = simnet.Message and friends) resolve to rt's named types
 // and are not simulator types.
-func (x *extractor) simulatorType(pkg *analysis.Package, expr ast.Expr) bool {
+func (x *checker) simulatorType(pkg *analysis.Package, expr ast.Expr) bool {
 	t := pkg.Info.TypeOf(expr)
 	named := receiverNamed(t)
 	if named == nil || named.Pkg() == nil {
@@ -80,13 +78,13 @@ func typeDisplay(pkg *analysis.Package, expr ast.Expr) string {
 // spawned from handler context, closures stored into package-level
 // variables, and interior pointers returned from confined methods —
 // unless every touched field carries a //rt:guard annotation.
-func (x *extractor) checkConfine(fi *funcInfo) {
-	pkg := fi.pkg
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+func (x *checker) checkConfine(fn *analysis.Func) {
+	pkg := fn.Pkg
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.GoStmt:
-			if ref := x.confinedRefIn(fi, v.Call); ref != "" {
-				x.reportf(pkg, v.Pos(), RuleConfine,
+			if ref := x.confinedRefIn(fn, v.Call); ref != "" {
+				x.diags.Reportf(pkg.Fset.Position(v.Pos()), RuleConfine,
 					"handler state (%s) escapes to a spawned goroutine; confined state may only be touched on the node's event loop (annotate the field //rt:guard if externally synchronized)", ref)
 			}
 		case *ast.AssignStmt:
@@ -94,7 +92,7 @@ func (x *extractor) checkConfine(fi *funcInfo) {
 				if i >= len(v.Rhs) {
 					break
 				}
-				id, ok := unparen(lhs).(*ast.Ident)
+				id, ok := analysis.Unparen(lhs).(*ast.Ident)
 				if !ok {
 					continue
 				}
@@ -105,19 +103,19 @@ func (x *extractor) checkConfine(fi *funcInfo) {
 				if obj == nil || obj.Parent() != pkg.Types.Scope() {
 					continue
 				}
-				if lit, ok := unparen(v.Rhs[i]).(*ast.FuncLit); ok {
-					if ref := x.confinedRefIn(fi, lit); ref != "" {
-						x.reportf(pkg, v.Pos(), RuleConfine,
+				if lit, ok := analysis.Unparen(v.Rhs[i]).(*ast.FuncLit); ok {
+					if ref := x.confinedRefIn(fn, lit); ref != "" {
+						x.diags.Reportf(pkg.Fset.Position(v.Pos()), RuleConfine,
 							"closure capturing handler state (%s) is stored in package-level %s; confined state must not outlive its event-loop turn", ref, obj.Name())
 					}
 				}
 			}
 		case *ast.ReturnStmt:
-			if fi.recv == nil || !x.confined[fi.recv] {
+			if fn.Recv == nil || !x.confined[fn.Recv.Obj()] {
 				return true
 			}
 			for _, res := range v.Results {
-				x.checkReturnedInterior(fi, res)
+				x.checkReturnedInterior(fn, res)
 			}
 		}
 		return true
@@ -127,20 +125,20 @@ func (x *extractor) checkConfine(fi *funcInfo) {
 // checkReturnedInterior flags a confined method returning an interior
 // pointer to its receiver's state: &recv.f, or a bare reference-typed
 // field recv.f (map, slice, pointer, chan).
-func (x *extractor) checkReturnedInterior(fi *funcInfo, res ast.Expr) {
-	pkg := fi.pkg
-	e := unparen(res)
+func (x *checker) checkReturnedInterior(fn *analysis.Func, res ast.Expr) {
+	pkg := fn.Pkg
+	e := analysis.Unparen(res)
 	addr := false
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = unparen(u.X)
+		e = analysis.Unparen(u.X)
 		addr = true
 	}
 	sel, ok := e.(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	base, ok := unparen(sel.X).(*ast.Ident)
-	if !ok || !x.isReceiverIdent(fi, base) {
+	base, ok := analysis.Unparen(sel.X).(*ast.Ident)
+	if !ok || !x.isReceiverIdent(fn, base) {
 		return
 	}
 	fobj := pkg.Info.Uses[sel.Sel]
@@ -160,17 +158,17 @@ func (x *extractor) checkReturnedInterior(fi *funcInfo, res ast.Expr) {
 			return
 		}
 	}
-	x.reportf(pkg, res.Pos(), RuleConfine,
+	x.diags.Reportf(pkg.Fset.Position(res.Pos()), RuleConfine,
 		"confined method returns an interior pointer to handler state (%s.%s); return a copy, or annotate the field //rt:guard", base.Name, sel.Sel.Name)
 }
 
 // isReceiverIdent reports whether id is the function's receiver variable.
-func (x *extractor) isReceiverIdent(fi *funcInfo, id *ast.Ident) bool {
-	if fi.decl.Recv == nil || len(fi.decl.Recv.List) == 0 || len(fi.decl.Recv.List[0].Names) == 0 {
+func (x *checker) isReceiverIdent(fn *analysis.Func, id *ast.Ident) bool {
+	if fn.Decl.Recv == nil || len(fn.Decl.Recv.List) == 0 || len(fn.Decl.Recv.List[0].Names) == 0 {
 		return false
 	}
-	robj := fi.pkg.Info.Defs[fi.decl.Recv.List[0].Names[0]]
-	obj := fi.pkg.Info.Uses[id]
+	robj := fn.Pkg.Info.Defs[fn.Decl.Recv.List[0].Names[0]]
+	obj := fn.Pkg.Info.Uses[id]
 	return robj != nil && obj == robj
 }
 
@@ -179,8 +177,8 @@ func (x *extractor) isReceiverIdent(fi *funcInfo, id *ast.Ident) bool {
 // struct declared in this engine package (the role struct or its
 // satellite per-transaction records). Selectors onto //rt:guard-annotated
 // fields are exempt, including everything reached through them.
-func (x *extractor) confinedRefIn(fi *funcInfo, root ast.Node) string {
-	pkg := fi.pkg
+func (x *checker) confinedRefIn(fn *analysis.Func, root ast.Node) string {
+	pkg := fn.Pkg
 	found := ""
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
@@ -202,7 +200,7 @@ func (x *extractor) confinedRefIn(fi *funcInfo, root ast.Node) string {
 		if obj == nil {
 			return true
 		}
-		if x.isReceiverIdent(fi, id) {
+		if x.isReceiverIdent(fn, id) {
 			found = id.Name
 			return false
 		}
@@ -229,17 +227,17 @@ func (x *extractor) confinedRefIn(fi *funcInfo, root ast.Node) string {
 // can flow past its statement and a later statement in the same list
 // performs the first state transition (directly, or via a call to a
 // same-load function that assigns state).
-func (x *extractor) checkSendOrder(fi *funcInfo) {
-	sends := x.requiringSends(fi)
+func (x *checker) checkSendOrder(fn *analysis.Func) {
+	sends := x.requiringSends(fn)
 	if len(sends) == 0 {
 		return
 	}
-	transitions := x.transitionPositions(fi)
+	transitions := x.transitionPositions(fn)
 	if len(transitions) == 0 {
 		return
 	}
 	reported := map[token.Pos]bool{}
-	x.walkBlocks(fi.decl.Body, func(list []ast.Stmt) {
+	x.walkBlocks(fn.Decl.Body, func(list []ast.Stmt) {
 		for i, si := range list {
 			if isCaseClause(si) {
 				// A switch body's statement list is its case clauses; the
@@ -254,8 +252,8 @@ func (x *extractor) checkSendOrder(fi *funcInfo) {
 				for _, sj := range list[i+1:] {
 					if containsAny(sj, transitions) {
 						reported[pos] = true
-						x.reportf(fi.pkg, pos, RuleSendOrder,
-							"send of %s races ahead of the in-memory state transition it advertises (transition at %s); transition, persist, then send", kind, x.shortPos(fi.pkg, firstWithin(sj, transitions)))
+						x.diags.Reportf(fn.Pkg.Fset.Position(pos), RuleSendOrder,
+							"send of %s races ahead of the in-memory state transition it advertises (transition at %s); transition, persist, then send", kind, fn.Pkg.ShortPos(firstWithin(sj, transitions)))
 						break
 					}
 					if _, isRet := sj.(*ast.ReturnStmt); isRet {
@@ -269,11 +267,10 @@ func (x *extractor) checkSendOrder(fi *funcInfo) {
 
 // requiringSends maps the positions of this function's requiring send
 // call sites to the kind-constant names they send.
-func (x *extractor) requiringSends(fi *funcInfo) map[token.Pos]string {
-	pkg := fi.pkg
-	varKinds := x.collectVarKinds(fi)
+func (x *checker) requiringSends(fn *analysis.Func) map[token.Pos]string {
+	varKinds := analysis.StringConstVars(fn)
 	out := map[token.Pos]string{}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		// A send inside a closure (an After callback, typically) does not
 		// execute at the statement that creates the closure; it is ordered
 		// by when the runtime fires it, not where it is written.
@@ -284,99 +281,21 @@ func (x *extractor) requiringSends(fi *funcInfo) map[token.Pos]string {
 		if !ok {
 			return true
 		}
-		obj := calleeObj(pkg, call.Fun)
-		if obj == nil {
-			return true
-		}
+		c := x.facts.CallOf(call)
 		idx := -1
-		if i, isSend := transportSendKindIdx(obj); isSend {
+		if i, isSend := analysis.SendKindIndex(c.Obj); isSend {
 			idx = i
-		} else if ci, isWrap := x.funcs[obj]; isWrap && ci.sendWrapKindIdx >= 0 {
+		} else if ci := x.sums[c.Static]; ci != nil && ci.sendWrapKindIdx >= 0 {
 			idx = ci.sendWrapKindIdx
 		}
 		if idx < 0 || idx >= len(call.Args) {
 			return true
 		}
-		for _, kobj := range x.kindObjs(fi, varKinds, call.Args[idx]) {
+		kinds, _ := analysis.KindConsts(fn, varKinds, call.Args[idx])
+		for _, kobj := range kinds {
 			if _, requiring := x.requires[kobj]; requiring {
-				out[call.Pos()] = x.kindName[kobj]
+				out[call.Pos()] = kobj.Name()
 				break
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// kindObjs resolves a send's kind expression to the constant(s) it may
-// hold: a constant directly, or every constant assigned to a local
-// variable (flow-insensitively). Parameters resolve to nothing — the
-// wrapper's call sites carry the actual kind.
-func (x *extractor) kindObjs(fi *funcInfo, varKinds map[types.Object][]types.Object, e ast.Expr) []types.Object {
-	pkg := fi.pkg
-	switch v := unparen(e).(type) {
-	case *ast.Ident:
-		obj := pkg.Info.Uses[v]
-		if obj == nil {
-			return nil
-		}
-		if _, isParam := fi.paramIdx[obj]; isParam {
-			return nil
-		}
-		if _, isConst := obj.(*types.Const); isConst {
-			return []types.Object{obj}
-		}
-		return varKinds[obj]
-	case *ast.SelectorExpr:
-		if obj, ok := pkg.Info.Uses[v.Sel].(*types.Const); ok {
-			return []types.Object{obj}
-		}
-	}
-	return nil
-}
-
-// collectVarKinds records every string constant assigned to a local
-// variable in this function, so sends of variable kinds are checked
-// against everything the variable may hold.
-func (x *extractor) collectVarKinds(fi *funcInfo) map[types.Object][]types.Object {
-	pkg := fi.pkg
-	out := map[types.Object][]types.Object{}
-	record := func(lhs, rhs ast.Expr) {
-		id, ok := unparen(lhs).(*ast.Ident)
-		if !ok {
-			return
-		}
-		lobj := pkg.Info.Defs[id]
-		if lobj == nil {
-			lobj = pkg.Info.Uses[id]
-		}
-		if lobj == nil {
-			return
-		}
-		var cobj types.Object
-		switch v := unparen(rhs).(type) {
-		case *ast.Ident:
-			cobj = pkg.Info.Uses[v]
-		case *ast.SelectorExpr:
-			cobj = pkg.Info.Uses[v.Sel]
-		}
-		if c, ok := cobj.(*types.Const); ok && c.Val().Kind() == constant.String {
-			out[lobj] = append(out[lobj], c)
-		}
-	}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if len(v.Lhs) == len(v.Rhs) {
-				for i := range v.Lhs {
-					record(v.Lhs[i], v.Rhs[i])
-				}
-			}
-		case *ast.ValueSpec:
-			if len(v.Names) == len(v.Values) {
-				for i := range v.Names {
-					record(v.Names[i], v.Values[i])
-				}
 			}
 		}
 		return true
@@ -388,10 +307,10 @@ func (x *extractor) collectVarKinds(fi *funcInfo) map[types.Object][]types.Objec
 // state transitions: direct assignments to state-typed fields, plus calls
 // to same-load functions that directly assign state (one level of call
 // summaries, enough for the decide()/commit() helpers of the engines).
-func (x *extractor) transitionPositions(fi *funcInfo) map[token.Pos]bool {
-	pkg := fi.pkg
+func (x *checker) transitionPositions(fn *analysis.Func) map[token.Pos]bool {
+	pkg := fn.Pkg
 	out := map[token.Pos]bool{}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.FuncLit:
 			// A transition inside a closure happens when the closure runs
@@ -405,10 +324,8 @@ func (x *extractor) transitionPositions(fi *funcInfo) map[token.Pos]bool {
 				}
 			}
 		case *ast.CallExpr:
-			if obj := calleeObj(pkg, v.Fun); obj != nil {
-				if ci, ok := x.funcs[obj]; ok && ci.assignsState {
-					out[v.Pos()] = true
-				}
+			if ci := x.sums[x.facts.CallOf(v).Static]; ci != nil && ci.assignsState {
+				out[v.Pos()] = true
 			}
 		}
 		return true
@@ -417,7 +334,7 @@ func (x *extractor) transitionPositions(fi *funcInfo) map[token.Pos]bool {
 }
 
 // walkBlocks invokes fn on every statement list of the function body.
-func (x *extractor) walkBlocks(body *ast.BlockStmt, fn func([]ast.Stmt)) {
+func (x *checker) walkBlocks(body *ast.BlockStmt, fn func([]ast.Stmt)) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.BlockStmt:
@@ -504,17 +421,4 @@ func escapes(stmt ast.Stmt, pos token.Pos) bool {
 	}
 	ast.Inspect(stmt, visit)
 	return !terminated
-}
-
-// shortPos renders a position as file:line relative to the package dir.
-func (x *extractor) shortPos(pkg *analysis.Package, pos token.Pos) string {
-	if pos == token.NoPos {
-		return "?"
-	}
-	p := pkg.Fset.Position(pos)
-	name := p.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", name, p.Line)
 }

@@ -1,12 +1,10 @@
 package portcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"speccat/internal/analysis"
 )
@@ -18,110 +16,84 @@ var simulatorPaths = map[string]bool{ //lint:allow noglobalstate immutable looku
 	"speccat/internal/simnet": true,
 }
 
-// extractor accumulates the cross-package facts of one Run.
-type extractor struct {
-	pkgs  []*analysis.Package
+// checker accumulates the cross-package facts of one Check.
+type checker struct {
+	facts *analysis.Facts
 	rep   *Report
-	diags []analysis.Diagnostic
+	diags analysis.Findings
 
-	// allowed: file -> rule -> lines covered by a reasoned //lint:allow.
-	allowed map[string]map[string]map[int]bool
 	// engines are the //rt:engine packages.
 	engines map[*analysis.Package]bool
-	// funcs indexes every function declaration of the load.
-	funcs map[types.Object]*funcInfo
+	// sums holds this layer's summary of every engine function.
+	sums map[*analysis.Func]*summary
 	// confined are the role types (receivers of handler roots).
 	confined map[*types.TypeName]bool
 	// guards maps //rt:guard-annotated field objects to their kind.
 	guards map[types.Object]string
 	// requires maps //dur:requires-annotated kind constants to classes.
 	requires map[types.Object]string
-	// kindName maps those constants to their declared names.
-	kindName map[types.Object]string
 	// stateTypes are the named types whose constants carry //fsm:state:
 	// assigning a field of such a type is an in-memory state transition.
 	stateTypes map[*types.TypeName]bool
 }
 
-// funcInfo is the per-function view.
-type funcInfo struct {
-	pkg  *analysis.Package
-	decl *ast.FuncDecl
-	obj  types.Object
-	name string
-	// recv is the receiver's type name, nil for plain functions.
-	recv *types.TypeName
-	// isRoot marks handler analysis roots (//fsm:handler, //dur:handler).
-	isRoot bool
-	// paramIdx maps parameter objects to their flat index.
-	paramIdx map[types.Object]int
+// summary is the per-function view of an engine function.
+type summary struct {
 	// sendWrapKindIdx is the parameter index this function forwards as a
 	// send kind, or -1.
 	sendWrapKindIdx int
 	// assignsState reports a direct assignment to a state-typed field.
 	assignsState bool
-	// calls are the same-load callees, for reachability and summaries.
-	calls []types.Object
-	// reachable marks membership in the handler call graph.
-	reachable bool
 }
 
-func newExtractor(pkgs []*analysis.Package) *extractor {
-	return &extractor{
-		pkgs:       pkgs,
+func newChecker(facts *analysis.Facts) *checker {
+	return &checker{
+		facts:      facts,
 		rep:        &Report{Guards: map[string]string{}},
-		allowed:    map[string]map[string]map[int]bool{},
 		engines:    map[*analysis.Package]bool{},
-		funcs:      map[types.Object]*funcInfo{},
+		sums:       map[*analysis.Func]*summary{},
 		confined:   map[*types.TypeName]bool{},
 		guards:     map[types.Object]string{},
 		requires:   map[types.Object]string{},
-		kindName:   map[types.Object]string{},
 		stateTypes: map[*types.TypeName]bool{},
 	}
 }
 
-func (x *extractor) reportf(pkg *analysis.Package, pos token.Pos, rule, format string, args ...any) {
-	x.diags = append(x.diags, analysis.Diagnostic{
-		Pos:     pkg.Fset.Position(pos),
-		Rule:    rule,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// extract runs every pass and assembles the report.
-func (x *extractor) extract() *Report {
-	for _, pkg := range x.pkgs {
-		for _, f := range pkg.Files {
-			x.scanAllows(pkg, f)
-		}
-		x.scanDirectives(pkg)
+// check runs every pass and assembles the report.
+func (x *checker) check() *Report {
+	for _, d := range x.facts.Directives("rt") {
+		x.bindDirective(d)
 	}
-	for _, pkg := range x.pkgs {
-		if !x.engines[pkg] {
-			continue
-		}
-		for _, f := range pkg.Files {
-			x.scanConsts(pkg, f)
-			x.scanFuncs(pkg, f)
+	x.scanConsts()
+	for _, fn := range x.facts.Funcs {
+		if x.engines[fn.Pkg] {
+			x.sums[fn] = &summary{sendWrapKindIdx: -1}
 		}
 	}
-	for _, fi := range x.funcs {
-		x.computeFuncFacts(fi)
+	var roots []*analysis.Func
+	for _, fn := range x.facts.Roots("fsm:handler", "dur:handler") {
+		if x.engines[fn.Pkg] {
+			roots = append(roots, fn)
+			x.rep.Roots = append(x.rep.Roots, fn.Name)
+		}
 	}
-	x.markConfined()
-	x.markReachable()
-	for _, pkg := range x.pkgs {
+	for fn := range x.sums {
+		x.computeFuncFacts(fn)
+	}
+	x.markConfined(roots)
+	// Only functions reachable from the roots within the engines are
+	// subject to confinement and send-order checks (constructor and
+	// harness wiring runs before the event loops exist).
+	reachable := x.facts.Reachable(roots, false, func(fn *analysis.Func) bool { return x.sums[fn] != nil })
+	x.rep.Analyzed = len(reachable)
+	for _, pkg := range x.facts.Pkgs {
 		if x.engines[pkg] {
 			x.checkBoundary(pkg)
 		}
 	}
-	for _, fi := range x.funcs {
-		if !fi.reachable {
-			continue
-		}
-		x.checkConfine(fi)
-		x.checkSendOrder(fi)
+	for _, fn := range reachable {
+		x.checkConfine(fn)
+		x.checkSendOrder(fn)
 	}
 	sort.Strings(x.rep.Engines)
 	sort.Strings(x.rep.Confined)
@@ -129,118 +101,43 @@ func (x *extractor) extract() *Report {
 	return x.rep
 }
 
-// scanAllows collects the reasoned //lint:allow directives of one file.
-// Malformed directives never suppress; reporting them is the base
-// design-rule layer's job.
-func (x *extractor) scanAllows(pkg *analysis.Package, f *ast.File) {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			rest, ok := strings.CutPrefix(text, "lint:allow")
-			if !ok {
-				continue
-			}
-			rule, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
-			if rule == "" || strings.TrimSpace(reason) == "" {
-				continue
-			}
-			pos := pkg.Fset.Position(c.Pos())
-			byRule := x.allowed[pos.Filename]
-			if byRule == nil {
-				byRule = map[string]map[int]bool{}
-				x.allowed[pos.Filename] = byRule
-			}
-			lines := byRule[rule]
-			if lines == nil {
-				lines = map[int]bool{}
-				byRule[rule] = lines
-			}
-			lines[pos.Line] = true
-			lines[pos.Line+1] = true
-		}
-	}
-}
-
-// scanDirectives parses every //rt:* directive of one package, binds the
-// well-placed ones (//rt:engine in the package doc, //rt:guard trailing a
-// struct field) and reports the rest as rt-extract findings.
-func (x *extractor) scanDirectives(pkg *analysis.Package) {
-	for _, f := range pkg.Files {
-		// Positions at which each directive verb may legally appear.
-		docPos := map[token.Pos]bool{}
-		if f.Doc != nil {
-			for _, c := range f.Doc.List {
-				docPos[c.Pos()] = true
-			}
-		}
-		fieldAt := map[token.Pos]types.Object{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if len(field.Names) == 0 {
-					continue
-				}
-				obj := pkg.Info.Defs[field.Names[0]]
-				for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-					if cg == nil {
-						continue
-					}
-					for _, c := range cg.List {
-						fieldAt[c.Pos()] = obj
-					}
-				}
-			}
-			return true
-		})
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				pos := pkg.Fset.Position(c.Pos())
-				for _, d := range parseDirectives(c.Text, pos) {
-					x.bindDirective(pkg, f, c, d, docPos, fieldAt)
-				}
-			}
-		}
-	}
-}
-
-func (x *extractor) bindDirective(pkg *analysis.Package, f *ast.File, c *ast.Comment, d directive, docPos map[token.Pos]bool, fieldAt map[token.Pos]types.Object) {
-	switch d.verb {
+// bindDirective binds one //rt:* directive — //rt:engine in the package
+// doc, //rt:guard on a struct field — and reports misplaced, malformed
+// and unknown ones as rt-extract findings.
+func (x *checker) bindDirective(d *analysis.Directive) {
+	switch d.Verb {
 	case "engine":
-		if !docPos[c.Pos()] {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//rt:engine must appear in the package doc comment")
+		if d.Attach != analysis.AttachPackage {
+			x.diags.Reportf(d.Pos, RuleExtract, "//rt:engine must appear in the package doc comment")
 			return
 		}
-		if len(d.args) != 0 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "malformed //rt:engine: takes no arguments, got %q", d.rest)
+		if len(d.Args) != 0 {
+			x.diags.Reportf(d.Pos, RuleExtract, "malformed //rt:engine: takes no arguments, got %q", d.Rest)
 			return
 		}
-		if !x.engines[pkg] {
-			x.engines[pkg] = true
-			x.rep.Engines = append(x.rep.Engines, pkg.ImportPath)
+		if !x.engines[d.Pkg] {
+			x.engines[d.Pkg] = true
+			x.rep.Engines = append(x.rep.Engines, d.Pkg.ImportPath)
 		}
 	case "guard":
-		obj, attached := fieldAt[c.Pos()]
-		if !attached {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//rt:guard must trail a struct field declaration")
+		if d.Attach != analysis.AttachField || len(d.Field.Names) == 0 {
+			x.diags.Reportf(d.Pos, RuleExtract, "//rt:guard must trail a struct field declaration")
 			return
 		}
-		if len(d.args) < 2 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "malformed //rt:guard: want //rt:guard <mutex|channel|loop> <reason>")
+		if len(d.Args) < 2 {
+			x.diags.Reportf(d.Pos, RuleExtract, "malformed //rt:guard: want //rt:guard <mutex|channel|loop> <reason>")
 			return
 		}
-		if !guardKinds[d.args[0]] {
-			x.reportf(pkg, c.Pos(), RuleExtract, "unknown //rt:guard kind %q: want mutex, channel or loop", d.args[0])
+		if !guardKinds[d.Args[0]] {
+			x.diags.Reportf(d.Pos, RuleExtract, "unknown //rt:guard kind %q: want mutex, channel or loop", d.Args[0])
 			return
 		}
-		if obj != nil {
-			x.guards[obj] = d.args[0]
-			x.rep.Guards[guardDisplayName(pkg, obj)] = d.args[0]
+		if obj := d.Pkg.Info.Defs[d.Field.Names[0]]; obj != nil {
+			x.guards[obj] = d.Args[0]
+			x.rep.Guards[guardDisplayName(d.Pkg, obj)] = d.Args[0]
 		}
 	default:
-		x.reportf(pkg, c.Pos(), RuleExtract, "unknown directive //rt:%s", d.verb)
+		x.diags.Reportf(d.Pos, RuleExtract, "unknown directive //rt:%s", d.Verb)
 	}
 }
 
@@ -268,30 +165,25 @@ func guardDisplayName(pkg *analysis.Package, obj types.Object) string {
 	return obj.Name()
 }
 
-// scanConsts binds //dur:requires and //fsm:state trailing annotations to
-// their constants: the former mark the kinds whose sends advertise a
-// durable protocol step, the latter identify the state-machine types.
-func (x *extractor) scanConsts(pkg *analysis.Package, f *ast.File) {
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok || vs.Comment == nil || len(vs.Names) == 0 {
+// scanConsts reads the //dur:requires and //fsm:state line comments of
+// the engines' constants: the former mark the kinds whose sends advertise
+// a durable protocol step, the latter identify the state-machine types.
+func (x *checker) scanConsts() {
+	for _, layer := range []string{"dur", "fsm"} {
+		for _, d := range x.facts.Directives(layer) {
+			if !x.engines[d.Pkg] || d.Attach != analysis.AttachValue || !d.Trailing || d.Gen.Tok != token.CONST || len(d.Spec.Names) == 0 {
 				continue
 			}
-			text := vs.Comment.List[0].Text
-			obj := pkg.Info.Defs[vs.Names[0]]
+			obj := d.Pkg.Info.Defs[d.Spec.Names[0]]
 			if obj == nil {
 				continue
 			}
-			if class, ok := trailingDirectiveArg(text, "dur:requires"); ok && class != "" {
-				x.requires[obj] = class
-				x.kindName[obj] = obj.Name()
-			}
-			if _, ok := trailingDirectiveArg(text, "fsm:state"); ok {
+			switch d.Key() {
+			case "dur:requires":
+				if len(d.Args) > 0 {
+					x.requires[obj] = d.Args[0]
+				}
+			case "fsm:state":
 				if named, ok := obj.Type().(*types.Named); ok {
 					x.stateTypes[named.Obj()] = true
 				}
@@ -300,127 +192,30 @@ func (x *extractor) scanConsts(pkg *analysis.Package, f *ast.File) {
 	}
 }
 
-// trailingDirectiveArg finds a "//<verb> <args>" segment in a trailing
-// comment shared between layers and returns its first argument.
-func trailingDirectiveArg(text, verb string) (string, bool) {
-	body := strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	for _, seg := range strings.Split(body, "//") {
-		rest, ok := strings.CutPrefix(strings.TrimSpace(seg), verb)
-		if !ok || (rest != "" && rest[0] != ' ') {
-			continue
-		}
-		args := strings.Fields(rest)
-		if len(args) == 0 {
-			return "", true
-		}
-		return args[0], true
-	}
-	return "", false
-}
-
-// scanFuncs indexes the function declarations of one engine file and
-// marks the handler analysis roots.
-func (x *extractor) scanFuncs(pkg *analysis.Package, f *ast.File) {
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		obj := pkg.Info.Defs[fn.Name]
-		if obj == nil {
-			continue
-		}
-		fi := &funcInfo{
-			pkg:             pkg,
-			decl:            fn,
-			obj:             obj,
-			name:            funcDisplayName(fn),
-			sendWrapKindIdx: -1,
-			paramIdx:        map[types.Object]int{},
-		}
-		if fn.Recv != nil && len(fn.Recv.List) > 0 {
-			fi.recv = receiverNamed(pkg.Info.TypeOf(fn.Recv.List[0].Type))
-		}
-		idx := 0
-		if fn.Type.Params != nil {
-			for _, field := range fn.Type.Params.List {
-				for _, name := range field.Names {
-					if po := pkg.Info.Defs[name]; po != nil {
-						fi.paramIdx[po] = idx
-					}
-					idx++
-				}
-			}
-		}
-		if fn.Doc != nil {
-			for _, c := range fn.Doc.List {
-				body := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if strings.HasPrefix(body, "fsm:handler") || strings.HasPrefix(body, "dur:handler") {
-					fi.isRoot = true
-				}
-			}
-		}
-		x.funcs[obj] = fi
-		if fi.isRoot {
-			x.rep.Roots = append(x.rep.Roots, fi.name)
-		}
-	}
-}
-
-func funcDisplayName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	t := fn.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fn.Name.Name
-	}
-	return fn.Name.Name
-}
-
 // receiverNamed unwraps a (possibly pointer) type to its type name.
 func receiverNamed(t types.Type) *types.TypeName {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
+	if named := analysis.NamedOf(t); named != nil {
 		return named.Obj()
 	}
 	return nil
 }
 
 // computeFuncFacts fills the per-function classification: send-wrapper
-// kind forwarding, direct state-transition assignments, and the static
-// callee list.
-func (x *extractor) computeFuncFacts(fi *funcInfo) {
-	pkg := fi.pkg
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			obj := calleeObj(pkg, v.Fun)
-			if obj == nil {
-				return true
+// kind forwarding and direct state-transition assignments.
+func (x *checker) computeFuncFacts(fn *analysis.Func) {
+	sum := x.sums[fn]
+	for _, c := range fn.Calls {
+		if idx, isSend := analysis.SendKindIndex(c.Obj); isSend && idx < len(c.Expr.Args) {
+			if pidx := fn.ParamIndex(c.Expr.Args[idx]); pidx >= 0 {
+				sum.sendWrapKindIdx = pidx
 			}
-			if idx, isSend := transportSendKindIdx(obj); isSend && idx < len(v.Args) {
-				if id, ok := unparen(v.Args[idx]).(*ast.Ident); ok {
-					if po := pkg.Info.Uses[id]; po != nil {
-						if pidx, isParam := fi.paramIdx[po]; isParam {
-							fi.sendWrapKindIdx = pidx
-						}
-					}
-				}
-			}
-			fi.calls = append(fi.calls, obj)
-		case *ast.AssignStmt:
+		}
+	}
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		if v, ok := n.(*ast.AssignStmt); ok {
 			for _, lhs := range v.Lhs {
-				if x.isStateField(pkg, lhs) {
-					fi.assignsState = true
+				if x.isStateField(fn.Pkg, lhs) {
+					sum.assignsState = true
 				}
 			}
 		}
@@ -430,8 +225,8 @@ func (x *extractor) computeFuncFacts(fi *funcInfo) {
 
 // isStateField reports whether expr is a selector onto a field of a
 // state-machine type (one whose constants carry //fsm:state).
-func (x *extractor) isStateField(pkg *analysis.Package, expr ast.Expr) bool {
-	sel, ok := unparen(expr).(*ast.SelectorExpr)
+func (x *checker) isStateField(pkg *analysis.Package, expr ast.Expr) bool {
+	sel, ok := analysis.Unparen(expr).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -446,100 +241,12 @@ func (x *extractor) isStateField(pkg *analysis.Package, expr ast.Expr) bool {
 	return ok && x.stateTypes[named.Obj()]
 }
 
-// calleeObj resolves a call expression's static callee.
-func calleeObj(pkg *analysis.Package, fun ast.Expr) types.Object {
-	switch v := unparen(fun).(type) {
-	case *ast.Ident:
-		return pkg.Info.Uses[v]
-	case *ast.SelectorExpr:
-		return pkg.Info.Uses[v.Sel]
-	}
-	return nil
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// transportSendKindIdx reports whether obj is a runtime-boundary send
-// primitive and, if so, which argument carries the message kind. The
-// simulator's concrete methods are included so suppressed harness files
-// inside engine packages are still checked for send ordering.
-func transportSendKindIdx(obj types.Object) (int, bool) {
-	if isMethodOn(obj, "internal/rt", "Transport", "Send") ||
-		isMethodOn(obj, "internal/simnet", "Network", "Send") {
-		return 2, true
-	}
-	if isMethodOn(obj, "internal/rt", "Transport", "Broadcast") ||
-		isMethodOn(obj, "internal/simnet", "Network", "Broadcast") {
-		return 1, true
-	}
-	return 0, false
-}
-
-// isMethodOn reports whether obj is the named method on pkgSuffix.typeName.
-func isMethodOn(obj types.Object, pkgSuffix, typeName string, names ...string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	named := receiverNamed(sig.Recv().Type())
-	if named == nil || named.Name() != typeName || named.Pkg() == nil || !strings.HasSuffix(named.Pkg().Path(), pkgSuffix) {
-		return false
-	}
-	if len(names) == 0 {
-		return true
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
 // markConfined records the receiver types of the handler roots.
-func (x *extractor) markConfined() {
-	for _, fi := range x.funcs {
-		if fi.isRoot && fi.recv != nil {
-			if !x.confined[fi.recv] {
-				x.confined[fi.recv] = true
-				x.rep.Confined = append(x.rep.Confined, fi.pkg.Types.Name()+"."+fi.recv.Name())
-			}
-		}
-	}
-}
-
-// markReachable walks the static call graph from the handler roots; only
-// reachable functions are subject to confinement and send-order checks
-// (constructor and harness wiring runs before the event loops exist).
-func (x *extractor) markReachable() {
-	var queue []*funcInfo
-	for _, fi := range x.funcs {
-		if fi.isRoot {
-			fi.reachable = true
-			queue = append(queue, fi)
-		}
-	}
-	for len(queue) > 0 {
-		fi := queue[0]
-		queue = queue[1:]
-		x.rep.Analyzed++
-		for _, callee := range fi.calls {
-			if ci, ok := x.funcs[callee]; ok && !ci.reachable {
-				ci.reachable = true
-				queue = append(queue, ci)
-			}
+func (x *checker) markConfined(roots []*analysis.Func) {
+	for _, fn := range roots {
+		if fn.Recv != nil && !x.confined[fn.Recv.Obj()] {
+			x.confined[fn.Recv.Obj()] = true
+			x.rep.Confined = append(x.rep.Confined, fn.Pkg.Types.Name()+"."+fn.Recv.Obj().Name())
 		}
 	}
 }

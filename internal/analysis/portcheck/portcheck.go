@@ -64,10 +64,6 @@
 package portcheck
 
 import (
-	"go/token"
-	"sort"
-	"strings"
-
 	"speccat/internal/analysis"
 )
 
@@ -98,76 +94,20 @@ type Report struct {
 	Guards map[string]string
 }
 
-// directive is one parsed //rt:<verb> annotation.
-type directive struct {
-	verb string
-	args []string
-	rest string
-	pos  token.Position
-}
-
-// parseDirectives extracts the rt: directives of one comment. The comment
-// must begin with a directive, but the leading directive may belong to
-// another layer (//fsm:..., //dur:...) with //rt: segments appended; each
-// layer reads its own segments and skips the others'.
-func parseDirectives(text string, pos token.Position) []directive {
-	body := strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	if !strings.HasPrefix(body, "rt:") && !strings.HasPrefix(body, "fsm:") && !strings.HasPrefix(body, "dur:") {
-		return nil
-	}
-	var out []directive
-	for _, seg := range strings.Split(body, "//") {
-		seg = strings.TrimSpace(seg)
-		rest, ok := strings.CutPrefix(seg, "rt:")
-		if !ok {
-			continue
-		}
-		verb, args, _ := strings.Cut(rest, " ")
-		args = strings.TrimSpace(args)
-		out = append(out, directive{
-			verb: verb,
-			args: strings.Fields(args),
-			rest: args,
-			pos:  pos,
-		})
-	}
-	return out
-}
-
-// Run analyzes the loaded packages and returns the coverage report and
-// the surviving diagnostics (reasoned //lint:allow suppressions applied),
-// sorted by position.
+// Run analyzes the loaded packages; see Check.
 func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
-	x := newExtractor(pkgs)
-	rep := x.extract()
-	diags := x.suppress(x.diags)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
-	})
-	return rep, diags
+	return Check(analysis.NewFacts(pkgs))
 }
 
-// suppress drops diagnostics covered by a reasoned //lint:allow for the
-// same rule on the same or preceding line. Malformed allows (missing rule
-// or reason) are the base design-rule layer's finding, not re-reported
-// here; they simply never suppress.
-func (x *extractor) suppress(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
-	for _, d := range diags {
-		if lines := x.allowed[d.Pos.Filename][d.Rule]; lines[d.Pos.Line] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
+// Check analyzes the fact base and returns the coverage report and the
+// surviving diagnostics (reasoned //lint:allow suppressions applied),
+// sorted by position. Malformed allows (missing rule or reason) are the
+// base design-rule layer's finding, not re-reported here; they simply
+// never suppress.
+func Check(facts *analysis.Facts) (*Report, []analysis.Diagnostic) {
+	x := newChecker(facts)
+	rep := x.check()
+	diags := facts.Unsuppressed(x.diags, "lint:allow")
+	analysis.SortDiagnostics(diags)
+	return rep, diags
 }

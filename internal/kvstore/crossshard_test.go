@@ -23,7 +23,7 @@ func shardedKeys(t *testing.T) (k0, k1 string) {
 }
 
 // TestCrossShardDeadlockBlindSpot pins the runtime gap that motivates the
-// static lock-order rule (speccatlint -lock): each shard's
+// static lock-order rule (speccatlint -only lock): each shard's
 // locking.Manager runs wouldDeadlock over its OWN waits-for graph only, so
 // two transactions acquiring two shards' locks in opposite orders close a
 // cycle neither manager can see. Both requests queue as ordinary conflicts

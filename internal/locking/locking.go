@@ -12,7 +12,7 @@
 // ("Limits of Commutativity on Abstract Data Types"). The compatibility
 // matrix is not asserted by hand — it is pinned against the
 // prover-discharged commutativity spec comm.sw, both statically
-// (speccatlint -comm, rule comm-matrix) and at test time
+// (speccatlint -only comm, rule comm-matrix) and at test time
 // (TestMatrixMatchesDischargedSpec).
 package locking
 
